@@ -5,9 +5,10 @@
 // measures the three serve-path claims:
 //
 //   * "latency" rows — exact p50/p99/mean request latency for cold
-//     serving (live planner, no store) vs warm serving (store hit +
-//     mandatory re-verify), memoization off so every request pays the
-//     full path it is labelled with.
+//     serving (live planner, no store, a fresh server per request) vs
+//     warm serving (store hit + mandatory re-verify), one request per
+//     canonical shape so every request pays the full path it is
+//     labelled with.
 //   * "split" rows — a request flood through the bounded admission
 //     queue: the warm/cold/degraded/shed verdict split must account for
 //     every request (shed is load shedding, not loss).
@@ -67,19 +68,21 @@ std::string latency_row(const char* mode, const std::vector<u64>& lat) {
   return buf;
 }
 
-/// Latency distribution over every canonical shape. `store` == nullptr
-/// measures the cold path (live planner per request); with a store every
-/// request is a hit plus the mandatory re-verify. Memoization off so
-/// requests stay independent.
+/// Latency distribution over every canonical shape, each requested once
+/// so no request is served from the server's plan cache. `store` ==
+/// nullptr measures the cold path: a fresh server (planner, plan cache
+/// and search provider) per request, so nothing planned for one request
+/// outlives it. With a store every request is a hit plus the mandatory
+/// re-verify.
 void run_latency(const char* mode, const store::PlanStore* st,
                  const std::vector<Shape>& shapes) {
-  store::ServeOptions opts;
-  opts.memoize = false;
-  store::Server server(st, opts, [] { return search::make_search_provider(); });
+  const auto provider = [] { return search::make_search_provider(); };
+  store::Server warm(st, {}, provider);
   std::vector<u64> lat;
   lat.reserve(shapes.size());
   for (const Shape& s : shapes) {
-    const store::Reply rep = server.handle(s);
+    const store::Reply rep =
+        st ? warm.handle(s) : store::Server(nullptr, {}, provider).handle(s);
     if (!rep.ok) {
       std::fprintf(stderr, "latency run failed on %s: %s\n",
                    s.to_string().c_str(), rep.error.c_str());
@@ -197,8 +200,10 @@ int main(int argc, char** argv) {
       store::enumerate_canonical_shapes(budget, 3);
   const store::PlanStore st = store::PlanStore::open(store_path);
 
-  run_latency("cold", nullptr, shapes);
+  // Warm first, so the cold row's per-request servers (heavy allocation
+  // churn) cannot skew it.
   run_latency("warm", &st, shapes);
+  run_latency("cold", nullptr, shapes);
   run_split(st, shapes, quick ? 2 : 4);
   for (const u32 flips : {1u, 8u, quick ? 32u : 256u})
     run_corruption(store_path, shapes, flips, /*seed=*/0x522EULL + flips);

@@ -30,14 +30,6 @@ SmallVec<u64, 16> divisors(u64 n) {
 
 u64 product_of(const Shape& s) { return s.num_nodes(); }
 
-PlanKey key_of(const Shape& shape, bool may_extend, cost::Objective obj) {
-  PlanKey k;
-  k.extents = shape.extents();
-  k.extend = may_extend;
-  k.objective = static_cast<u8>(obj);
-  return k;
-}
-
 cost::CostVector cost_of(const PlanCacheEntry& e) {
   return cost::CostVector{e.cube, e.dil, e.cong, e.wl};
 }
@@ -99,18 +91,13 @@ u64 ShardedPlanCache::size() const {
   return n;
 }
 
-void ShardedPlanCache::clear() {
-  for (Shard& s : shards_) {
-    const std::unique_lock<std::shared_mutex> lock(s.mu);
-    s.map.clear();
-  }
-}
-
 Planner::Planner(PlannerOptions opts) : opts_(opts) {}
 
 void Planner::set_direct_provider(DirectProvider provider) {
   provider_ = std::move(provider);
-  memo_.clear();  // cached plans may improve with the provider attached
+  // Cached plans may improve with the provider attached. A shared cache
+  // is kept: plan_batch attaches it first, and other workers read it.
+  owned_.reset();
 }
 
 void Planner::set_degrade_provider(DegradeProvider provider) {
@@ -118,6 +105,12 @@ void Planner::set_degrade_provider(DegradeProvider provider) {
 }
 
 void Planner::set_shared_cache(ShardedPlanCache* cache) { shared_ = cache; }
+
+ShardedPlanCache& Planner::cache() {
+  if (shared_) return *shared_;
+  if (!owned_) owned_ = std::make_unique<ShardedPlanCache>();
+  return *owned_;
+}
 
 void Planner::measure(Entry& e) const {
   if (!cost::needs_measurement(opts_.objective) || !e.emb || e.measured)
@@ -172,25 +165,20 @@ Planner::Entry Planner::best(const Shape& shape, bool may_extend) {
         "planner.best_calls", obs::Kind::Timing);
     calls.add();
   }
-  const PlanKey key = key_of(shape, may_extend, opts_.objective);
-  if (auto it = memo_.find(key); it != memo_.end()) {
+  const PlanKey key = PlanKey::of(shape, may_extend, opts_.objective);
+  if (auto hit = cache().get(key)) {
     if (obs::enabled()) {
       static obs::Counter& hits = obs::Registry::global().counter(
           "planner.memo_hits", obs::Kind::Timing);
       hits.add();
     }
-    return it->second;
+    return *std::move(hit);
   }
-  if (shared_) {
-    if (auto hit = shared_->get(key)) {
-      memo_[key] = *hit;
-      return *hit;
-    }
-  }
-  // Seed the memo with the Gray fallback to cut recursion cycles short.
+  // Only final plans are published (a shared cache must not serve another
+  // worker a provisional one); the recursion is acyclic: factor meshes
+  // are smaller, and extensions recurse with may_extend = false.
   Entry incumbent = gray_entry(shape);
   measure(incumbent);
-  memo_[key] = incumbent;
 
   const u32 minimal = shape.minimal_cube_dim();
   if (incumbent.cube > minimal) {
@@ -230,8 +218,7 @@ Planner::Entry Planner::best(const Shape& shape, bool may_extend) {
     }
   }
 
-  memo_[key] = incumbent;
-  if (shared_) shared_->put(key, incumbent);
+  cache().put(key, incumbent);
   return incumbent;
 }
 
@@ -401,8 +388,8 @@ PlanResult Planner::plan_avoiding(const Shape& shape, const FaultSet& faults) {
         obs::Registry::global().counter("planner.avoiding");
     avoiding.add();
   }
-  // Cache-purity audit: memo_ and the shared ShardedPlanCache are keyed
-  // by (shape, extension flag) only — no fault information — so a
+  // Cache-purity audit: the ShardedPlanCache is keyed by (shape,
+  // extension flag, objective) only — no fault information — so a
   // fault-constrained plan must NEVER be inserted under such a key, or a
   // later fault-free plan() of the same shape would be served a detoured
   // or remapped embedding. This function therefore only *reads* the
@@ -561,10 +548,12 @@ std::vector<PlanResult> plan_batch(const std::vector<Shape>& shapes,
   std::vector<Shape> uniq;
   std::vector<std::size_t> canon_of(shapes.size());
   {
-    std::unordered_map<std::string, std::size_t> slot;
+    std::unordered_map<PlanKey, std::size_t, PlanKeyHash> slot;
     for (std::size_t i = 0; i < shapes.size(); ++i) {
       Shape canon = shapes[i].sorted();
-      const auto [it, fresh] = slot.try_emplace(canon.to_string(), uniq.size());
+      const auto [it, fresh] = slot.try_emplace(
+          PlanKey::of(canon, opts.allow_extension, opts.objective),
+          uniq.size());
       if (fresh) uniq.push_back(std::move(canon));
       canon_of[i] = it->second;
     }
@@ -578,10 +567,10 @@ std::vector<PlanResult> plan_batch(const std::vector<Shape>& shapes,
     reg.counter("plan.batch.unique").add(uniq.size());
   }
 
-  // Plan the canonical shapes. Chunks larger than one shape let a worker
-  // planner reuse its local memo across neighbouring shapes; the shared
-  // cache covers reuse across chunks. Each canonical plan is a pure
-  // function of the shape, so scheduling cannot change any result.
+  // Plan the canonical shapes. Every worker planner reads and publishes
+  // through the shared cache, so factor plans are reused across chunks.
+  // Each canonical plan is a pure function of the shape, so scheduling
+  // cannot change any result.
   std::vector<PlanResult> canon_plans(uniq.size());
   {
     HJ_SPAN_N("plan_batch.plan_canonical", uniq.size());

@@ -22,6 +22,7 @@
 
 #include <array>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <shared_mutex>
 #include <string>
@@ -94,19 +95,22 @@ struct PlanCacheEntry {
   bool measured = false;
 };
 
-/// Packed memo key: the shape extents plus the extension flag. The memo
-/// used to key on `shape.to_string() + flag`, which cost a heap
-/// allocation and digit formatting per best() probe — and the
-/// factorization odometer probes thousands of times per planned shape.
-/// Integer extents hash and compare allocation-free (rank <= 4 stays
-/// entirely inline).
+/// The one key for a canonical shape: packed extents plus the extension
+/// flag. Integer extents hash and compare allocation-free (rank <= 4
+/// stays inline); the factorization odometer probes thousands of times
+/// per planned shape.
 struct PlanKey {
   SmallVec<u64, 4> extents;
   bool extend = false;
   /// The planning objective (cost::Objective), part of the key: plans
   /// ranked under different objectives are different values, and the
-  /// shared cache must never serve one objective's plan to another.
+  /// cache must never serve one objective's plan to another.
   u8 objective = 0;
+
+  [[nodiscard]] static PlanKey of(const Shape& shape, bool extend,
+                                  cost::Objective objective) {
+    return PlanKey{shape.extents(), extend, static_cast<u8>(objective)};
+  }
 
   friend bool operator==(const PlanKey& a, const PlanKey& b) noexcept {
     return a.extend == b.extend && a.objective == b.objective &&
@@ -128,27 +132,25 @@ struct PlanKeyHash {
   }
 };
 
-/// Sharded plan memo shared by the worker planners of a batch, so a
-/// factor mesh appearing inside many product plans (3x3, 2x2x2, ...) is
-/// planned once per batch instead of once per worker. Keys pack the
-/// shape extents + extension flag; shard choice hashes the key, so
-/// unrelated shapes rarely contend. The read path takes a shared lock —
-/// the cache is read-mostly (~2:1 hits at steady state and every hit is
-/// a pure read), so readers proceed concurrently and only the first
-/// planner of a shape takes a shard's exclusive lock.
+/// The in-memory plan memo: a planner's own, one shared by the worker
+/// planners of a batch (a factor mesh inside many product plans is
+/// planned once per batch, not once per worker), or the serve daemon's
+/// certified plans. Shard choice hashes the key, so unrelated shapes
+/// rarely contend; reads take a shared lock (~2:1 hits at steady state,
+/// every hit a pure read), so only the first planner of a shape takes a
+/// shard's exclusive lock.
 ///
 /// Purity invariant: keys carry no fault information, so ONLY fault-free
-/// canonical plans may be stored. Planner::best() is the sole writer;
-/// plan_avoiding() and the fault-aware plan_batch overload treat their
-/// fault-constrained results as uncacheable (see the audit comment in
-/// planner.cpp).
+/// canonical plans may be stored. Planner::best() is the planner's sole
+/// writer; plan_avoiding() and the fault-aware plan_batch overload treat
+/// their fault-constrained results as uncacheable (see the audit comment
+/// in planner.cpp).
 class ShardedPlanCache {
  public:
   [[nodiscard]] std::optional<PlanCacheEntry> get(const PlanKey& key) const;
   void put(const PlanKey& key, const PlanCacheEntry& entry);
   /// Total entries across shards (diagnostic; takes all shard locks).
   [[nodiscard]] u64 size() const;
-  void clear();
 
  private:
   static constexpr u32 kShards = 64;
@@ -162,8 +164,9 @@ class ShardedPlanCache {
 };
 
 /// Plans embeddings of (non-wrapped) meshes into minimal-or-near-minimal
-/// cubes. Not thread-safe; create one per thread. Results are memoized
-/// across calls, so reusing one planner amortizes sweeps.
+/// cubes. Not thread-safe; create one per thread. Sub-plans are memoized
+/// across calls in a ShardedPlanCache, so reusing one planner amortizes
+/// sweeps.
 class Planner {
  public:
   explicit Planner(PlannerOptions opts = {});
@@ -175,9 +178,9 @@ class Planner {
   /// used by plan_avoiding when no one-to-one remap dodges the faults.
   void set_degrade_provider(DegradeProvider provider);
 
-  /// Attach a cross-planner memo (not owned; must outlive the planner).
-  /// Consulted after the local memo, published to after each sub-plan;
-  /// used by plan_batch to share factor plans between worker planners.
+  /// Attach a cross-planner memo (not owned; must outlive the planner)
+  /// in place of the planner's own; nullptr detaches it. Used by
+  /// plan_batch to share factor plans between worker planners.
   void set_shared_cache(ShardedPlanCache* cache);
 
   /// Best certified embedding of `shape`. Always succeeds (Gray is always
@@ -206,6 +209,8 @@ class Planner {
  private:
   using Entry = PlanCacheEntry;
 
+  /// The shared cache, else the owned one (on the heap: it cannot move).
+  ShardedPlanCache& cache();
   Entry best(const Shape& shape, bool may_extend);
   void consider(Entry& incumbent, Entry candidate) const;
   /// Fill candidate.cong/wl (one verify()) when the objective ranks on
@@ -223,7 +228,7 @@ class Planner {
   DirectProvider provider_;
   DegradeProvider degrade_provider_;
   ShardedPlanCache* shared_ = nullptr;
-  std::unordered_map<PlanKey, Entry, PlanKeyHash> memo_;
+  std::unique_ptr<ShardedPlanCache> owned_;
 };
 
 /// Factory handed to plan_batch instead of a DirectProvider because each

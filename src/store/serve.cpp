@@ -50,6 +50,14 @@ struct Counters {
   }
 };
 
+/// A verified plan and the certificate of its one verify() call.
+PlanCacheEntry certified_entry(const PlanResult& res) {
+  const VerifyReport& r = res.report;
+  require(r.valid, "plan failed verification");
+  return {res.embedding, res.plan, r.host_dim, r.dilation,
+          r.congestion, r.wirelength, /*measured=*/true};
+}
+
 }  // namespace
 
 const char* verdict_name(Verdict v) noexcept {
@@ -68,22 +76,20 @@ Server::Server(const PlanStore* store, ServeOptions opts,
   if (provider_factory) planner_.set_direct_provider(provider_factory());
 }
 
-PlanResult Server::canonical_plan(const Shape& canon, Verdict& verdict,
-                                  PhaseUs& ph) {
-  const std::string memo_key = canon.to_string();
-  if (opts_.memoize) {
-    const Clock::time_point t = Clock::now();
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = memo_.find(memo_key);
-    const bool hit = it != memo_.end();
-    ph.lookup_us += elapsed_us(t);
-    if (hit) {
-      verdict = Verdict::ServedWarm;
-      return it->second;
-    }
+PlanCacheEntry Server::canonical_plan(const Shape& canon, Verdict& verdict,
+                                      PhaseUs& ph) {
+  const PlanKey cache_key = PlanKey::of(canon, opts_.planner.allow_extension,
+                                        opts_.planner.objective);
+  const Clock::time_point t = Clock::now();
+  std::optional<PlanCacheEntry> cached = certified_.get(cache_key);
+  ph.lookup_us += elapsed_us(t);
+  if (cached) {
+    verdict = Verdict::ServedWarm;
+    return *std::move(cached);
   }
 
   verdict = Verdict::ServedCold;
+  std::optional<PlanCacheEntry> plan;
   if (store_ && canon.dims() <= kMaxRank) {
     const Key key = Key::of(canon);
     const Clock::time_point tl = Clock::now();
@@ -97,31 +103,18 @@ PlanResult Server::canonical_plan(const Shape& canon, Verdict& verdict,
         // record that parses but does not verify is as bad as a flipped
         // checksum and gets quarantined the same way.
         const Clock::time_point tv = Clock::now();
-        PlanResult res;
-        bool certified = false;
         try {
           const std::shared_ptr<ExplicitEmbedding> emb =
               io::from_text(hit.record.emb_text);
-          if (emb->guest().shape() == canon) {
-            VerifyReport report = verify(*emb);
-            if (report.valid) {
-              res.embedding = emb;
-              res.report = std::move(report);
-              res.plan = hit.record.plan;
-              certified = true;
-            }
-          }
+          if (emb->guest().shape() == canon)
+            plan = certified_entry({emb, verify(*emb), hit.record.plan});
         } catch (const std::exception&) {
           // fall through to quarantine + live planner
         }
         ph.verify_us += elapsed_us(tv);
-        if (certified) {
+        if (plan) {
           verdict = Verdict::ServedWarm;
-          if (opts_.memoize) {
-            std::lock_guard<std::mutex> lk(mu_);
-            memo_.emplace(memo_key, res);
-          }
-          return res;
+          break;
         }
         store_->quarantine(key);
         if (obs::enabled()) Counters::get().store_corrupt.add();
@@ -138,14 +131,16 @@ PlanResult Server::canonical_plan(const Shape& canon, Verdict& verdict,
     }
   }
 
-  // Live planner fallback (cold miss or degraded corruption path). The
-  // planner re-verifies its result by construction.
-  const Clock::time_point tp = Clock::now();
-  std::lock_guard<std::mutex> lk(mu_);
-  PlanResult res = planner_.plan(canon);
-  ph.plan_us += elapsed_us(tp);
-  if (opts_.memoize) memo_.emplace(memo_key, res);
-  return res;
+  if (!plan) {
+    // Live planner fallback (cold miss or degraded corruption path). The
+    // planner re-verifies its result by construction.
+    const Clock::time_point tp = Clock::now();
+    std::lock_guard<std::mutex> lk(mu_);
+    plan = certified_entry(planner_.plan(canon));
+    ph.plan_us += elapsed_us(tp);
+  }
+  certified_.put(cache_key, *plan);
+  return *std::move(plan);
 }
 
 Reply Server::handle(const Shape& shape, u64 queue_us) {
@@ -157,20 +152,23 @@ Reply Server::handle(const Shape& shape, u64 queue_us) {
             "request too large: at most 2^26 mesh nodes");
     const Shape canon = shape.sorted();
     Verdict verdict = Verdict::ServedCold;
-    const PlanResult canon_plan = canonical_plan(canon, verdict, rep.phase);
-    // Relabel to the requested axis order; relabel_plan re-verifies, so
-    // the reply's certificate always covers the exact shape served.
-    const Clock::time_point tr = Clock::now();
-    const PlanResult final_plan = relabel_plan(canon_plan, shape);
-    rep.phase.verify_us += elapsed_us(tr);
+    PlanCacheEntry served = canonical_plan(canon, verdict, rep.phase);
+    if (shape != canon) {
+      // Relabel to the requested axis order; relabel_plan re-verifies,
+      // so the reply's certificate always covers the exact shape served.
+      const Clock::time_point tr = Clock::now();
+      served = certified_entry(relabel_plan(
+          PlanResult{std::move(served.emb), {}, std::move(served.desc)},
+          shape));
+      rep.phase.verify_us += elapsed_us(tr);
+    }
     rep.verdict = verdict;
-    rep.ok = final_plan.report.valid;
-    if (!rep.ok) rep.error = "plan failed verification";
-    rep.cube = final_plan.report.host_dim;
-    rep.dil = final_plan.report.dilation;
-    rep.cong = final_plan.report.congestion;
-    rep.wl = final_plan.report.wirelength;
-    rep.plan = final_plan.plan;
+    rep.ok = true;
+    rep.cube = served.cube;
+    rep.dil = served.dil;
+    rep.cong = served.cong;
+    rep.wl = served.wl;
+    rep.plan = std::move(served.desc);
   } catch (const std::exception& e) {
     rep.ok = false;
     rep.error = e.what();

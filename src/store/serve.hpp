@@ -3,13 +3,13 @@
 // Server answers "embed this mesh" requests from a precomputed PlanStore,
 // falling back to the live planner whenever the store cannot help, and
 // NEVER serves an uncertified plan: every embedding loaded from disk is
-// re-verified with verify() before its first use (then memoized), and a
-// record that fails parsing or verification is quarantined in the store —
-// one corrupt record degrades one shape, not the daemon. Every reply
-// carries an explicit verdict:
+// re-verified with verify() before its first use (then cached with that
+// certificate), and a record that fails parsing or verification is
+// quarantined in the store — one corrupt record degrades one shape, not
+// the daemon. Every reply carries an explicit verdict:
 //
-//   served-warm  store hit or memo hit; certificate from a verified
-//                store/memo plan (relabelled plans are re-verified too).
+//   served-warm  store hit or cache hit; certificate from a verified
+//                store/cached plan (relabelled plans are re-verified too).
 //   served-cold  store miss (or no store attached); planned live.
 //   degraded     store record was corrupt or failed verification; the
 //                record was quarantined and the reply planned live.
@@ -23,7 +23,7 @@
 // can correlate out-of-order completions.
 //
 // Telemetry (DESIGN.md §14). Every reply carries a per-phase latency
-// breakdown (queue wait / store+memo lookup / re-verify / live plan),
+// breakdown (queue wait / cache+store lookup / re-verify / live plan),
 // the Server keeps ALWAYS-ON per-phase histograms (relaxed atomics, no
 // obs gate) so the live `stats` protocol command reports p50/p99/max
 // per phase from a running daemon, and run_serve emits structured
@@ -40,7 +40,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
 
 #include "core/planner.hpp"
 #include "obs/metrics.hpp"
@@ -60,9 +59,6 @@ struct ServeOptions {
   u64 deadline_us = 100000;
   /// Bounded admission queue capacity; a full queue sheds at admission.
   u64 queue_cap = 64;
-  /// Memoize verified plans by canonical shape (first use verifies, later
-  /// hits reuse the certificate).
-  bool memoize = true;
   /// Emit a one-line JSON stats snapshot every N worker-processed
   /// requests (0 disables), to `stats_out` (appended) or stderr when
   /// empty — the daemon is monitorable without restart.
@@ -74,7 +70,7 @@ struct ServeOptions {
 /// Where a request's latency went, in microseconds. queue_us is the
 /// admission-to-pop wait (run_serve fills it; direct handle() callers
 /// may pass their own); the rest are attributed inside handle():
-/// lookup_us = memo probe + store index lookup, verify_us = record
+/// lookup_us = cache probe + store index lookup, verify_us = record
 /// re-parse + verify() + relabel re-verify, plan_us = live planner.
 struct PhaseUs {
   u64 queue_us = 0;
@@ -104,14 +100,12 @@ struct ServeStats {
   u64 degraded = 0;
   u64 shed = 0;
   u64 errors = 0;
-  u64 store_hits = 0;
-  u64 store_misses = 0;
   u64 store_corrupt = 0;
 };
 
 /// The serve engine. Thread-safe: handle() may be called concurrently
-/// (the memo and the live planner are mutex-protected; store lookups are
-/// lock-free).
+/// (cache probes take a shard's shared lock, the live planner is
+/// mutex-protected, store lookups are lock-free).
 class Server {
  public:
   /// `store` may be null (pure live-planner serving); when given it must
@@ -143,17 +137,19 @@ class Server {
   [[nodiscard]] const PlanStore* plan_store() const noexcept { return store_; }
 
  private:
-  /// Verified canonical plan via store -> memo -> live planner.
-  /// `verdict` is set to the rung that produced it; lookup/verify/plan
-  /// time is accumulated into `ph`.
-  [[nodiscard]] PlanResult canonical_plan(const Shape& canon,
-                                          Verdict& verdict, PhaseUs& ph);
+  /// Verified canonical plan, certificate included, via cache -> store ->
+  /// live planner. `verdict` is set to the rung that produced it;
+  /// lookup/verify/plan time is accumulated into `ph`.
+  [[nodiscard]] PlanCacheEntry canonical_plan(const Shape& canon,
+                                              Verdict& verdict, PhaseUs& ph);
 
   const PlanStore* store_;
   ServeOptions opts_;
-  mutable std::mutex mu_;  // guards planner_ and memo_
+  // Verified canonical plans. Store records stay out of planner_'s
+  // sub-plan cache: a record is not a pure function of its key.
+  ShardedPlanCache certified_;
+  std::mutex mu_;  // guards planner_
   Planner planner_;
-  std::unordered_map<std::string, PlanResult> memo_;  // canonical -> plan
   mutable std::mutex stats_mu_;
   ServeStats stats_;
   obs::Histogram phase_queue_{obs::Kind::Timing};

@@ -12,6 +12,7 @@
 #include "core/parallel.hpp"
 #include "core/planner.hpp"
 #include "core/verify.hpp"
+#include "search/provider.hpp"
 
 namespace hj {
 namespace {
@@ -237,21 +238,36 @@ TEST(Determinism, RepeatedRunsAtEightThreadsAreBitIdentical) {
 TEST(Determinism, SharedCacheReusesFactorPlans) {
   const ThreadOverrideGuard guard;
   par::set_thread_override(2);
-  ShardedPlanCache cache;
-  const std::vector<Shape> shapes = {Shape{6, 10}, Shape{10, 6},
-                                     Shape{12, 10}};
-  const std::vector<PlanResult> first = plan_batch(shapes, {}, nullptr,
-                                                   &cache);
-  EXPECT_GT(cache.size(), 0u);
-  const u64 size_after_first = cache.size();
-  // Replanning the same batch against the warm cache adds no entries and
-  // returns identical plans.
-  const std::vector<PlanResult> second = plan_batch(shapes, {}, nullptr,
-                                                    &cache);
-  EXPECT_EQ(cache.size(), size_after_first);
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    EXPECT_EQ(first[i].plan, second[i].plan);
-    expect_same_report(first[i].report, second[i].report);
+  // Without a provider, and with one: each worker planner attaches the
+  // shared cache before its provider, which must not wipe the cache.
+  const DirectProviderFactory searching = [] {
+    return search::make_search_provider();
+  };
+  for (const DirectProviderFactory& factory : {DirectProviderFactory{},
+                                               searching}) {
+    ShardedPlanCache cache;
+    const std::vector<Shape> shapes = {Shape{6, 10}, Shape{10, 6},
+                                       Shape{12, 10}, Shape{5, 5},
+                                       Shape{5, 10}};
+    const std::vector<PlanResult> first =
+        plan_batch(shapes, {}, factory, &cache);
+    EXPECT_GT(cache.size(), 0u);
+    const u64 size_after_first = cache.size();
+    // Replanning the same batch against the warm cache adds no entries
+    // and returns identical plans.
+    const std::vector<PlanResult> second =
+        plan_batch(shapes, {}, factory, &cache);
+    EXPECT_EQ(cache.size(), size_after_first);
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      EXPECT_EQ(first[i].plan, second[i].plan);
+      expect_same_report(first[i].report, second[i].report);
+      // Canonical shapes come straight from the cache: the very same
+      // embedding objects, not replans.
+      if (shapes[i] == shapes[i].sorted()) {
+        EXPECT_EQ(first[i].embedding, second[i].embedding)
+            << shapes[i].to_string();
+      }
+    }
   }
 }
 

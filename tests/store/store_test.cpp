@@ -354,9 +354,43 @@ TEST(Serve, WarmColdAndRelabelVerdicts) {
   EXPECT_TRUE(cold.ok);
   EXPECT_EQ(cold.verdict, Verdict::ServedCold);
 
+  // An independent certificate for a reply: the canonical plan from its
+  // store record (or a fresh planner), relabelled to the requested axis
+  // order and verified from scratch.
+  const auto expected = [&](const Shape& shape) {
+    const Shape canon = shape.sorted();
+    const PlanStore::Lookup hit = store.lookup(Key::of(canon));
+    PlanResult base;
+    if (hit.status == PlanStore::Status::Hit) {
+      base.embedding = io::from_text(hit.record.emb_text);
+      base.plan = hit.record.plan;
+    } else {
+      base = Planner().plan(canon);
+    }
+    return verify(*relabel_plan(base, shape).embedding);
+  };
+  // Every repeat is served from the certified plan cache (the cold shape
+  // included) and carries the same certificate as the first reply.
+  const std::pair<Shape, const Reply*> firsts[] = {
+      {Shape{{2, 3}}, &warm}, {Shape{{3, 2}}, &perm}, {Shape{{5, 7}}, &cold}};
+  for (const auto& [shape, first] : firsts) {
+    const Reply again = server.handle(shape);
+    ASSERT_TRUE(again.ok) << shape.to_string() << ": " << again.error;
+    EXPECT_EQ(again.verdict, Verdict::ServedWarm) << shape.to_string();
+    EXPECT_EQ(again.plan, first->plan);
+    const VerifyReport r = expected(shape);
+    ASSERT_TRUE(r.valid) << shape.to_string();
+    for (const Reply* rep : {first, &again}) {
+      EXPECT_EQ(rep->cube, r.host_dim) << shape.to_string();
+      EXPECT_EQ(rep->dil, r.dilation) << shape.to_string();
+      EXPECT_EQ(rep->cong, r.congestion) << shape.to_string();
+      EXPECT_EQ(rep->wl, r.wirelength) << shape.to_string();
+    }
+  }
+
   const ServeStats st = server.stats();
-  EXPECT_EQ(st.requests, 3u);
-  EXPECT_EQ(st.warm, 2u);
+  EXPECT_EQ(st.requests, 6u);
+  EXPECT_EQ(st.warm, 5u);
   EXPECT_EQ(st.cold, 1u);
   EXPECT_EQ(st.errors, 0u);
   remove_store(path);
@@ -428,7 +462,7 @@ TEST(Serve, NoStoreMeansColdButServed) {
   const Reply rep = server.handle(Shape{{3, 5}});
   EXPECT_TRUE(rep.ok);
   EXPECT_EQ(rep.verdict, Verdict::ServedCold);
-  // Second hit memoizes to warm.
+  // The repeat is served from the certified plan cache.
   const Reply memo = server.handle(Shape{{3, 5}});
   EXPECT_TRUE(memo.ok);
   EXPECT_EQ(memo.verdict, Verdict::ServedWarm);
@@ -507,7 +541,7 @@ TEST(Serve, PhaseBreakdownAttributesRequestLatency) {
   EXPECT_EQ(cold.phase.queue_us, 123u);
   EXPECT_GE(cold.latency_us, 123u);
 
-  // Memo hit: the lookup phase fires, the live planner does not.
+  // Cache hit: the lookup phase fires, the live planner does not.
   const Reply memo = server.handle(Shape{{3, 5}});
   ASSERT_TRUE(memo.ok);
   EXPECT_EQ(memo.verdict, Verdict::ServedWarm);
