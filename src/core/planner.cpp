@@ -354,7 +354,7 @@ PlanResult Planner::plan(const Shape& shape) {
   PlanResult out;
   out.embedding = e.emb;
   out.report = verify(*e.emb);
-  out.plan = e.desc;
+  out.plan = plan_string(e);
   // Timing-kind: plan() runs on batch worker threads, so emission order
   // is scheduling-dependent even though each payload is deterministic.
   if (obs::events_on())
@@ -364,21 +364,24 @@ PlanResult Planner::plan(const Shape& shape) {
         .kv("cube", static_cast<u64>(out.report.host_dim))
         .kv("dil", static_cast<u64>(out.report.dilation))
         .emit();
+  return out;
+}
+
+std::string Planner::plan_string(const Entry& e) const {
   // Non-default objectives record the achieved gaps in the plan string
   // (the default keeps the historical strings, which golden tests pin).
-  if (opts_.objective != cost::Objective::Lexicographic) {
-    const VerifyReport& r = out.report;
-    char buf[128];
-    std::snprintf(
-        buf, sizeof buf, " [obj=%s wl %llu (%.2fx) cong %u (%.2fx)]",
-        cost::objective_name(opts_.objective),
-        static_cast<unsigned long long>(r.wirelength),
-        cost::gap(static_cast<double>(r.wirelength),
-                  static_cast<double>(r.bounds.wirelength)),
-        r.congestion, cost::gap(r.congestion, r.bounds.congestion));
-    out.plan += buf;
-  }
-  return out;
+  // Their entries are always measured, so cong/wl are verify()'s values.
+  if (opts_.objective == cost::Objective::Lexicographic) return e.desc;
+  const cost::Bounds b = cost::lower_bounds(e.emb->guest(), e.emb->host_dim(),
+                                            e.emb->one_to_one());
+  char buf[128];
+  std::snprintf(buf, sizeof buf, " [obj=%s wl %llu (%.2fx) cong %u (%.2fx)]",
+                cost::objective_name(opts_.objective),
+                static_cast<unsigned long long>(e.wl),
+                cost::gap(static_cast<double>(e.wl),
+                          static_cast<double>(b.wirelength)),
+                e.cong, cost::gap(e.cong, b.congestion));
+  return e.desc + buf;
 }
 
 PlanResult Planner::plan_avoiding(const Shape& shape, const FaultSet& faults) {
@@ -388,18 +391,21 @@ PlanResult Planner::plan_avoiding(const Shape& shape, const FaultSet& faults) {
         obs::Registry::global().counter("planner.avoiding");
     avoiding.add();
   }
+  if (faults.empty()) return plan(shape);
   // Cache-purity audit: the ShardedPlanCache is keyed by (shape,
   // extension flag, objective) only — no fault information — so a
   // fault-constrained plan must NEVER be inserted under such a key, or a
   // later fault-free plan() of the same shape would be served a detoured
   // or remapped embedding. This function therefore only *reads* the
-  // caches, via the plan() call below (whose fault-free result is the
+  // caches, via the best() call below (whose fault-free result is the
   // legitimate cacheable object); every faulted embedding it builds is
-  // returned directly and never written back.
-  PlanResult base = plan(shape);
-  if (faults.empty()) return base;
+  // returned directly and never written back. The base plan is never
+  // returned, so it is not verified: each returned plan carries exactly
+  // one certificate, its verify(emb, faults).
+  const Entry base = best(shape, opts_.allow_extension);
+  const std::string base_plan = plan_string(base);
 
-  const u32 n = base.report.host_dim;
+  const u32 n = base.emb->host_dim();
   const u64 cube = u64{1} << n;
   const u64 nodes = shape.num_nodes();
   require(nodes <= (u64{1} << 24),
@@ -407,7 +413,7 @@ PlanResult Planner::plan_avoiding(const Shape& shape, const FaultSet& faults) {
           static_cast<unsigned long long>(nodes));
 
   std::vector<CubeNode> map;
-  base.embedding->map_all(map);
+  base.emb->map_all(map);
   BitwordSet used(cube);
   for (MeshIndex i = 0; i < nodes; ++i) used.set(map[i]);
 
@@ -432,7 +438,7 @@ PlanResult Planner::plan_avoiding(const Shape& shape, const FaultSet& faults) {
     if (!d.ok) return std::nullopt;
     VerifyReport r = verify(*emb, faults);
     if (!r.valid || !r.fault_free) return std::nullopt;
-    std::string desc = base.plan;
+    std::string desc = base_plan;
     if (d.detoured_edges)
       desc = "detour[" + std::to_string(d.detoured_edges) + "](" + desc + ")";
     if (t) {
@@ -491,7 +497,7 @@ PlanResult Planner::plan_avoiding(const Shape& shape, const FaultSet& faults) {
           "(%zu failed nodes, %zu failed links)",
           shape.to_string().c_str(), n, faults.num_failed_nodes(),
           faults.num_failed_links());
-  return base;  // unreachable
+  return {};  // unreachable
 }
 
 bool Planner::achieves_minimal_dil2(const Shape& shape) {

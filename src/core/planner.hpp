@@ -220,6 +220,9 @@ class Planner {
   /// (non-lex objectives can win ties on secondary metrics).
   [[nodiscard]] bool tie_viable() const;
   Entry gray_entry(const Shape& shape) const;
+  /// The plan string of a finished entry: its derivation, plus the
+  /// " [obj=...]" gap suffix under a non-default objective.
+  [[nodiscard]] std::string plan_string(const Entry& e) const;
   void try_factorizations(const Shape& shape, Entry& incumbent);
   void try_extensions(const Shape& shape, Entry& incumbent);
   void try_pattern_extension(const Shape& shape, Entry& incumbent);

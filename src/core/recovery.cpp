@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <unordered_set>
 
-#include "core/io.hpp"
 #include "core/product.hpp"
 #include "core/router.hpp"
 #include "obs/obs.hpp"
@@ -47,10 +46,20 @@ class RungObs {
   bool on_;
 };
 
-/// Materialize any embedding as a freely mutable ExplicitEmbedding (node
-/// map plus every non-default edge path) via the io round trip.
+/// Materialize any embedding as a freely mutable ExplicitEmbedding: the
+/// node map plus every edge path that is not the default e-cube route.
 std::shared_ptr<ExplicitEmbedding> materialize(const Embedding& emb) {
-  return io::from_text(io::to_text(emb));
+  std::vector<CubeNode> map;
+  emb.map_all(map);
+  auto out = std::make_shared<ExplicitEmbedding>(emb.guest(), emb.host_dim(),
+                                                 std::move(map));
+  const std::vector<CubeNode>& nm = out->node_map();
+  emb.guest().for_each_edge([&](const MeshEdge& e) {
+    CubePath p = emb.edge_path(e);
+    if (p != Hypercube::ecube_path(nm[e.a], nm[e.b]))
+      out->set_edge_path(e, std::move(p));
+  });
+  return out;
 }
 
 /// All addresses at Hamming distance exactly `r` from `v` inside Q_n,

@@ -1,7 +1,6 @@
 #include "hypersim/network.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "core/bitword.hpp"
 #include "obs/obs.hpp"
@@ -17,6 +16,106 @@ u64 link_id(CubeNode from, CubeNode to, u32 dim) {
           static_cast<unsigned long long>(to));
   return from * dim + static_cast<u64>(std::countr_zero(from ^ to));
 }
+
+/// Per-run message state shared by run() and run_live(). Every hop's
+/// directed link is resolved once to a dense index, so the cycle loop
+/// works on flat arrays: `ids` holds the distinct link ids, sorted; hop h
+/// of message m crosses link ids[hop[first[m] + h]], and
+/// crossed[first[m] + h] of m's flits have crossed it.
+struct Traffic {
+  Traffic(const std::vector<CubePath>& routes, const std::vector<i64>& deps,
+          const SimConfig& config)
+      : cfg(config),
+        children(routes.size()),
+        failed(routes.size()),
+        delivered(routes.size(), 0),
+        retries(routes.size(), 0) {
+    const u32 dim = std::max(cfg.cube_dim, 1u);
+    std::vector<u64> hop_ids;
+    for (u32 m = 0; m < routes.size(); ++m) {
+      first.push_back(hop_ids.size());
+      for (std::size_t i = 0; i + 1 < routes[m].size(); ++i)
+        hop_ids.push_back(link_id(routes[m][i], routes[m][i + 1], dim));
+      max_hops = std::max(max_hops, static_cast<u32>(routes[m].size() - 1));
+      (deps[m] >= 0 ? children[static_cast<u32>(deps[m])] : roots).push_back(m);
+    }
+    first.push_back(hop_ids.size());
+    ids = hop_ids;
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    for (const u64 id : hop_ids)
+      hop.push_back(static_cast<u32>(
+          std::lower_bound(ids.begin(), ids.end(), id) - ids.begin()));
+    crossed.assign(hop.size(), 0);
+    used.assign(ids.size(), 0);
+  }
+
+  [[nodiscard]] u32 hops(u32 m) const {
+    return static_cast<u32>(first[m + 1] - first[m]);
+  }
+  /// Hop h (of the message whose progress is c) may move a flit: one
+  /// waits upstream, and under store-and-forward the whole train does.
+  [[nodiscard]] bool ready(const u32* c, u32 h) const {
+    const u32 upstream = h == 0 ? cfg.message_flits : c[h - 1];
+    return c[h] < upstream &&
+           (cfg.switching == Switching::CutThrough ||
+            upstream == cfg.message_flits);
+  }
+  /// Take a slot of link l this cycle (a dropped transmission still
+  /// occupies it); false when its bandwidth is already spent.
+  bool claim(u32 l) {
+    if (used[l] >= cfg.link_bandwidth) return false;
+    if (used[l]++ == 0) dirty.push_back(l);
+    return true;
+  }
+  /// Start a cycle: every link's bandwidth is unspent again.
+  void next_cycle() {
+    for (const u32 l : dirty) used[l] = 0;
+    dirty.clear();
+  }
+  /// Count a dropped transmission of m; false once that exhausts m's
+  /// retry budget, which fails m.
+  bool retry(u32 m) {
+    if (++retries[m] <= cfg.max_retries) return true;
+    fail(m);
+    return false;
+  }
+  /// Fail m and, transitively, its dependents.
+  void fail(u32 m) {
+    if (failed.test(m)) return;
+    failed.set(m);
+    ++num_failed;
+    for (const u32 c : children[m]) fail(c);
+  }
+  /// Queue m into `out`; a zero-hop message completes at once.
+  void release(u32 m, std::vector<u32>& out) {
+    if (failed.test(m)) return;
+    if (hops(m) == 0) return deliver(m, out);
+    out.push_back(m);
+  }
+  /// Count m delivered and release its dependents into `out`.
+  void deliver(u32 m, std::vector<u32>& out) {
+    delivered[m] = 1;
+    ++num_delivered;
+    for (const u32 c : children[m]) release(c, out);
+  }
+
+  const SimConfig& cfg;
+  std::vector<u64> ids;
+  std::vector<std::size_t> first;
+  std::vector<u32> hop;
+  std::vector<u32> crossed;
+  std::vector<std::vector<u32>> children;  // released when m completes
+  std::vector<u32> roots;
+  BitwordSet failed;
+  std::vector<u8> delivered;
+  std::vector<u32> retries;
+  u64 num_delivered = 0;
+  u64 num_failed = 0;
+  u32 max_hops = 0;
+  std::vector<u32> used;   // flits sent per link this cycle
+  std::vector<u32> dirty;  // links with used != 0
+};
 
 }  // namespace
 
@@ -99,81 +198,35 @@ SimResult CubeNetwork::run() {
   result.message_flits = config_.message_flits;
   result.link_bandwidth = config_.link_bandwidth;
 
-  const u32 dim = std::max(config_.cube_dim, 1u);
   const u32 flits = config_.message_flits;
   const FaultModel* faults = config_.faults;
   const bool observing = obs::enabled();
 
   // Static route statistics (over all queued routes, failed or not).
-  std::unordered_map<u64, u32> static_load;
-  for (const CubePath& r : routes_) {
-    result.total_hops += r.size() - 1;
-    result.max_route_len =
-        std::max<u32>(result.max_route_len, static_cast<u32>(r.size() - 1));
-    for (std::size_t i = 0; i + 1 < r.size(); ++i)
-      result.max_link_load = std::max(
-          result.max_link_load, ++static_load[link_id(r[i], r[i + 1], dim)]);
-  }
+  Traffic t(routes_, deps_, config_);
+  std::vector<u32> static_load(t.ids.size(), 0);
+  for (const u32 l : t.hop)
+    result.max_link_load = std::max(result.max_link_load, ++static_load[l]);
+  result.total_hops = t.hop.size();
+  result.max_route_len = t.max_hops;
   if (observing) {
     obs::Histogram& route_len =
         obs::Registry::global().histogram("sim.route_len");
     for (const CubePath& r : routes_) route_len.observe(r.size() - 1);
   }
 
-  // Flit-level simulation. crossed[m][h] = flits of message m that have
-  // crossed hop h. A flit may cross hop h this cycle when
-  //   * it exists at the upstream node: crossed[h] < crossed[h-1]
-  //     (crossed[-1] == flits: the whole train starts at the source), and
-  //   * under store-and-forward, the entire train is upstream:
-  //     crossed[h-1] == flits, and
-  //   * link h has spare bandwidth this cycle.
-  // Hops are served destination-first so a flit never moves twice per
-  // cycle; messages are served in id order (deterministic arbitration).
-  const bool cut_through = config_.switching == Switching::CutThrough;
-  std::vector<std::vector<u32>> crossed(routes_.size());
-  // Dependency bookkeeping: children[m] are released when m completes.
-  std::vector<std::vector<u32>> children(routes_.size());
-  // Delivery/failure state packed as bitwords: one cache line covers 512
-  // messages, where the two parallel vector<bool>s cost a proxy-masked
-  // byte dance per touch.
-  BitwordSet done(routes_.size());
-  BitwordSet failed(routes_.size());
-  std::vector<u32> retries(routes_.size(), 0);
+  // Flit-level simulation: a flit crosses hop h this cycle when the hop
+  // is ready (Traffic::ready) and its link has spare bandwidth. Hops are
+  // served destination-first so a flit never moves twice per cycle;
+  // messages are served in id order (deterministic arbitration).
   std::vector<u32> active;
-  std::vector<u32> roots;
-  for (u32 m = 0; m < routes_.size(); ++m) {
-    crossed[m].assign(routes_[m].size() - 1, 0);
-    if (deps_[m] >= 0)
-      children[static_cast<u32>(deps_[m])].push_back(m);
-    else
-      roots.push_back(m);
-  }
   // A message whose route crosses a permanent fault can never be
   // delivered: fail it up front (and, transitively, its dependents)
   // instead of stalling the run to max_cycles.
-  const auto fail = [&](u32 m, const auto& self) -> void {
-    if (failed.test(m)) return;
-    failed.set(m);
-    ++result.failed_messages;
-    for (u32 c : children[m]) self(c, self);
-  };
-  if (faults && !faults->permanent().empty()) {
+  if (faults && !faults->permanent().empty())
     for (u32 m = 0; m < routes_.size(); ++m)
-      if (!faults->permanent().path_avoids(routes_[m])) fail(m, fail);
-  }
-  // Release a message: zero-hop messages complete instantly and cascade.
-  const auto release = [&](u32 m, std::vector<u32>& out,
-                           const auto& self) -> void {
-    if (failed.test(m)) return;
-    if (!crossed[m].empty()) {
-      out.push_back(m);
-      return;
-    }
-    done.set(m);
-    ++result.delivered;
-    for (u32 c : children[m]) self(c, out, self);
-  };
-  for (u32 m : roots) release(m, active, release);
+      if (!faults->permanent().path_avoids(routes_[m])) t.fail(m);
+  for (u32 m : t.roots) t.release(m, active);
 
   const bool transient = faults && faults->has_transient();
   const bool flapping = faults && faults->has_flapping();
@@ -184,54 +237,43 @@ SimResult CubeNetwork::run() {
   obs::Histogram* active_hist =
       observing ? &obs::Registry::global().histogram("sim.active_messages")
                 : nullptr;
-  std::unordered_map<u64, u32> used_this_cycle;
-  used_this_cycle.reserve(static_load.size());
   while (!active.empty() && result.cycles < config_.max_cycles) {
     ++result.cycles;
     if (active_hist) active_hist->observe(active.size());
-    used_this_cycle.clear();
+    t.next_cycle();
     std::vector<u32> still_active;
     still_active.reserve(active.size());
     for (u32 m : active) {
-      if (failed.test(m)) continue;  // retry budget ran out earlier this cycle
+      if (t.failed.test(m)) continue;  // retry budget ran out this cycle
       const CubePath& r = routes_[m];
-      auto& c = crossed[m];
-      const u32 hops = static_cast<u32>(c.size());
+      u32* const c = t.crossed.data() + t.first[m];
+      const u32* const hop = t.hop.data() + t.first[m];
+      const u32 hops = t.hops(m);
       for (u32 h = hops; h-- > 0;) {
-        const u32 upstream = h == 0 ? flits : c[h - 1];
-        if (c[h] >= flits || c[h] >= upstream) continue;
-        if (!cut_through && upstream < flits) continue;
-        const u64 link = link_id(r[h], r[h + 1], dim);
-        u32& used = used_this_cycle[link];
-        if (used >= config_.link_bandwidth) {
+        if (!t.ready(c, h)) continue;
+        if (!t.claim(hop[h])) {
           ++blocked_attempts;
           continue;
         }
-        ++used;  // a dropped transmission still occupies the link slot
         if ((flapping &&
              faults->flapping_down(result.cycles, r[h], r[h + 1])) ||
-            (transient && faults->drops(result.cycles, link))) {
+            (transient && faults->drops(result.cycles, t.ids[hop[h]]))) {
           ++result.dropped_flits;
-          if (++retries[m] > config_.max_retries) {
-            fail(m, fail);
-            break;  // retry budget exhausted: message (and dependents) die
-          }
+          if (!t.retry(m)) break;  // budget spent: m and dependents died
           continue;
         }
         ++c[h];
       }
-      if (failed.test(m)) continue;
-      if (c[hops - 1] < flits) {
+      if (t.failed.test(m)) continue;
+      if (c[hops - 1] < flits)
         still_active.push_back(m);
-      } else {
-        done.set(m);
-        ++result.delivered;
-        for (u32 child : children[m])
-          release(child, still_active, release);
-      }
+      else
+        t.deliver(m, still_active);
     }
     active.swap(still_active);
   }
+  result.delivered = t.num_delivered;
+  result.failed_messages = t.num_failed;
 
   // A run that still has messages in flight was truncated by max_cycles.
   result.completed =
@@ -258,7 +300,7 @@ SimResult CubeNetwork::run() {
     obs::Histogram& link_load = reg.histogram("sim.link_load");
     obs::Histogram& link_util = reg.histogram("sim.link_util_pct");
     const u64 capacity = result.cycles * config_.link_bandwidth;
-    for (const auto& [link, load] : static_load) {
+    for (const u32 load : static_load) {
       link_load.observe(load);
       // Share of the run each used link spent carrying flits; only
       // meaningful when the run drained (a truncated run's cycle count
@@ -277,25 +319,20 @@ LiveEpochResult CubeNetwork::run_live(u64 start_cycle,
   HJ_SPAN_N("sim.run_live", routes_.size());
   LiveEpochResult result;
   result.messages = routes_.size();
-  result.message_delivered.assign(routes_.size(), 0);
 
-  const u32 dim = std::max(config_.cube_dim, 1u);
   const u32 flits = config_.message_flits;
   const FaultModel* faults = config_.faults;
   const bool transient = faults && faults->has_transient();
   const bool flapping = faults && faults->has_flapping();
 
-  u32 max_route_len = 0;
-  for (const CubePath& r : routes_)
-    max_route_len =
-        std::max<u32>(max_route_len, static_cast<u32>(r.size() - 1));
-  require(config_.watchdog_cycles >= u64{max_route_len} * flits,
+  Traffic t(routes_, deps_, config_);
+  require(config_.watchdog_cycles >= u64{t.max_hops} * flits,
           "run_live: watchdog_cycles (%llu) is below the longest route's "
           "service time (%u hops x %u flits = %llu cycles); a healthy "
           "message would be flagged as stuck — raise watchdog_cycles",
           static_cast<unsigned long long>(config_.watchdog_cycles),
-          max_route_len, flits,
-          static_cast<unsigned long long>(u64{max_route_len} * flits));
+          t.max_hops, flits,
+          static_cast<unsigned long long>(u64{t.max_hops} * flits));
 
   // Ground-truth hardware state: the faults known before the run plus
   // every scheduled arrival whose cycle has passed. Nothing is pre-failed
@@ -305,11 +342,6 @@ LiveEpochResult CubeNetwork::run_live(u64 start_cycle,
   std::size_t sched_cursor = 0;
   schedule.apply_until(start_cycle, live, sched_cursor);
 
-  const bool cut_through = config_.switching == Switching::CutThrough;
-  std::vector<std::vector<u32>> crossed(routes_.size());
-  std::vector<std::vector<u32>> children(routes_.size());
-  BitwordSet failed(routes_.size());
-  std::vector<u32> retries(routes_.size(), 0);
   // Watchdog state: local cycle of each message's last flit progress,
   // plus — to tell a dead network from a saturated one — how many of the
   // message's transmission attempts since that progress were outright
@@ -319,88 +351,56 @@ LiveEpochResult CubeNetwork::run_live(u64 start_cycle,
   std::vector<u64> failed_since(routes_.size(), 0);
   std::vector<u64> blocked_since(routes_.size(), 0);
   std::vector<u32> active;
-  std::vector<u32> roots;
-  for (u32 m = 0; m < routes_.size(); ++m) {
-    crossed[m].assign(routes_[m].size() - 1, 0);
-    if (deps_[m] >= 0)
-      children[static_cast<u32>(deps_[m])].push_back(m);
-    else
-      roots.push_back(m);
-  }
-  const auto fail = [&](u32 m, const auto& self) -> void {
-    if (failed.test(m)) return;
-    failed.set(m);
-    for (u32 c : children[m]) self(c, self);
-  };
-  const auto release = [&](u32 m, std::vector<u32>& out,
-                           const auto& self) -> void {
-    if (failed.test(m)) return;
-    if (!crossed[m].empty()) {
-      out.push_back(m);
-      return;
-    }
-    result.message_delivered[m] = 1;
-    ++result.delivered;
-    for (u32 c : children[m]) self(c, out, self);
-  };
-  for (u32 m : roots) release(m, active, release);
+  for (u32 m : t.roots) t.release(m, active);
 
-  // Detection layer: consecutive failed transmissions per directed link,
-  // reset by any success on that link. A dead link never succeeds, so its
-  // counter climbs monotonically to detect_threshold within a few cycles
-  // of the first attempt.
-  std::unordered_map<u64, u32> consec_failures;
-  std::unordered_map<u64, bool> suspected;
-
-  std::unordered_map<u64, u32> used_this_cycle;
+  // Detection layer, per link: consecutive failed transmissions, reset by
+  // any success on that link. A dead link never succeeds, so its counter
+  // climbs monotonically to detect_threshold within a few cycles of the
+  // first attempt.
+  std::vector<u32> consec_failures(t.ids.size(), 0);
+  std::vector<u8> suspected(t.ids.size(), 0);
   u64 executed = 0;
   while (!active.empty() && executed < config_.max_cycles) {
     ++executed;
     const u64 now = start_cycle + executed;
     schedule.apply_until(now, live, sched_cursor);
-    used_this_cycle.clear();
+    t.next_cycle();
     std::vector<u32> still_active;
     still_active.reserve(active.size());
     for (u32 m : active) {
-      if (failed.test(m)) continue;
+      if (t.failed.test(m)) continue;
       const CubePath& r = routes_[m];
-      auto& c = crossed[m];
-      const u32 hops = static_cast<u32>(c.size());
+      u32* const c = t.crossed.data() + t.first[m];
+      const u32* const hop = t.hop.data() + t.first[m];
+      const u32 hops = t.hops(m);
       bool progressed = false;
       for (u32 h = hops; h-- > 0;) {
-        const u32 upstream = h == 0 ? flits : c[h - 1];
-        if (c[h] >= flits || c[h] >= upstream) continue;
-        if (!cut_through && upstream < flits) continue;
-        const u64 link = link_id(r[h], r[h + 1], dim);
-        u32& used = used_this_cycle[link];
-        if (used >= config_.link_bandwidth) {
+        if (!t.ready(c, h)) continue;
+        const u32 link = hop[h];
+        if (!t.claim(link)) {
           ++blocked_since[m];
           continue;
         }
-        ++used;  // a failed transmission still occupies the link slot
         const bool dead = live.link_failed(r[h], r[h + 1]) ||
                           (flapping &&
                            faults->flapping_down(now, r[h], r[h + 1]));
-        if (dead || (transient && faults->drops(now, link))) {
+        if (dead || (transient && faults->drops(now, t.ids[link]))) {
           ++result.dropped_flits;
           ++failed_since[m];
           u32& streak = consec_failures[link];
           if (++streak == config_.detect_threshold && !suspected[link]) {
-            suspected[link] = true;
+            suspected[link] = 1;
             result.detections.push_back(
                 DetectionEvent{now, r[h], r[h + 1], streak, false});
           }
-          if (++retries[m] > config_.max_retries) {
-            fail(m, fail);
-            break;
-          }
+          if (!t.retry(m)) break;
           continue;
         }
         consec_failures[link] = 0;
         ++c[h];
         progressed = true;
       }
-      if (failed.test(m)) continue;
+      if (t.failed.test(m)) continue;
       if (progressed) {
         last_progress[m] = executed;
         failed_since[m] = 0;
@@ -419,9 +419,9 @@ LiveEpochResult CubeNetwork::run_live(u64 start_cycle,
           if (failed_since[m] > 0 && failed_since[m] >= blocked_since[m]) {
             u32 stuck = 0;
             while (stuck + 1 < hops && c[stuck] >= flits) ++stuck;
-            const u64 link = link_id(r[stuck], r[stuck + 1], dim);
+            const u32 link = hop[stuck];
             if (!suspected[link]) {
-              suspected[link] = true;
+              suspected[link] = 1;
               result.detections.push_back(DetectionEvent{
                   now, r[stuck], r[stuck + 1], consec_failures[link], true});
             }
@@ -434,10 +434,7 @@ LiveEpochResult CubeNetwork::run_live(u64 start_cycle,
         }
         still_active.push_back(m);
       } else {
-        result.message_delivered[m] = 1;
-        ++result.delivered;
-        for (u32 child : children[m])
-          release(child, still_active, release);
+        t.deliver(m, still_active);
       }
     }
     active.swap(still_active);
@@ -446,6 +443,8 @@ LiveEpochResult CubeNetwork::run_live(u64 start_cycle,
     // of which message tripped the detector first.
     if (!result.detections.empty()) break;
   }
+  result.delivered = t.num_delivered;
+  result.message_delivered = std::move(t.delivered);
 
   result.end_cycle = start_cycle + executed;
   result.detected = !result.detections.empty();

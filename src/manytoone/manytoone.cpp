@@ -77,7 +77,11 @@ EmbeddingPtr gray_contraction(const Shape& block_counts,
                                                 block_counts);
 }
 
-ContractPlan contract_to_cube(const Shape& shape, u32 n) {
+namespace {
+
+/// contract_to_cube's construction step: the embedding and its plan
+/// string, not yet verified.
+DegradedPlan build_contraction(const Shape& shape, u32 n) {
   require(n <= 63, "contract_to_cube: cube too large");
   const u32 k = shape.dims();
 
@@ -135,10 +139,17 @@ ContractPlan contract_to_cube(const Shape& shape, u32 n) {
     plan += " folded to Q" + std::to_string(n);
   }
 
+  return {std::move(emb), std::move(plan)};
+}
+
+}  // namespace
+
+ContractPlan contract_to_cube(const Shape& shape, u32 n) {
+  DegradedPlan built = build_contraction(shape, n);
   ContractPlan out;
-  out.embedding = emb;
-  out.report = verify(*emb);
-  out.plan = std::move(plan);
+  out.report = verify(*built.embedding);
+  out.embedding = std::move(built.embedding);
+  out.plan = std::move(built.plan);
   out.optimal_load =
       (shape.num_nodes() + (u64{1} << n) - 1) >> n;
   return out;
@@ -244,17 +255,17 @@ DegradeProvider make_degrade_provider() {
     }
     if (!found) return std::nullopt;
 
+    // Unverified here: plan_avoiding certifies the placed embedding
+    // against the faults, and that one verify also checks validity.
     const u32 m = n - static_cast<u32>(std::popcount(mask));
-    ContractPlan plan = contract_to_cube(shape, m);
-    if (!plan.report.valid) return std::nullopt;
-    DegradedPlan out;
-    out.embedding = std::make_shared<SubcubeEmbedding>(plan.embedding, n,
-                                                       mask, value);
+    DegradedPlan out = build_contraction(shape, m);
+    out.embedding = std::make_shared<SubcubeEmbedding>(
+        std::move(out.embedding), n, mask, value);
     char buf[64];
     std::snprintf(buf, sizeof buf, " into subcube[mask=0x%llx val=0x%llx]",
                   static_cast<unsigned long long>(mask),
                   static_cast<unsigned long long>(value));
-    out.plan = plan.plan + buf;
+    out.plan += buf;
     return out;
   };
 }

@@ -41,6 +41,11 @@ class ContractionEmbedding final : public Embedding {
   [[nodiscard]] bool one_to_one() const noexcept override {
     return factors_.num_nodes() == 1 && base_->one_to_one();
   }
+  /// A block-boundary edge rides its base edge's path, an intra-block
+  /// edge collapses to one node: unit base paths stay unit.
+  [[nodiscard]] bool unit_paths() const noexcept override {
+    return base_->unit_paths();
+  }
 
   [[nodiscard]] const Shape& factors() const noexcept { return factors_; }
 
@@ -61,6 +66,10 @@ class CubeFoldEmbedding final : public Embedding {
   [[nodiscard]] CubePath edge_path(const MeshEdge& e) const override;
   [[nodiscard]] bool one_to_one() const noexcept override {
     return base_->host_dim() == host_dim() && base_->one_to_one();
+  }
+  /// Folding a one-hop path leaves one hop or one node.
+  [[nodiscard]] bool unit_paths() const noexcept override {
+    return base_->unit_paths();
   }
 
  private:
@@ -112,6 +121,10 @@ class SubcubeEmbedding final : public Embedding {
   [[nodiscard]] bool one_to_one() const noexcept override {
     return base_->host_dim() == host_dim() && base_->one_to_one();
   }
+  /// expand() maps cube neighbours to cube neighbours.
+  [[nodiscard]] bool unit_paths() const noexcept override {
+    return base_->unit_paths();
+  }
 
  private:
   [[nodiscard]] CubeNode expand(CubeNode v) const noexcept;
@@ -126,7 +139,8 @@ class SubcubeEmbedding final : public Embedding {
 /// three address bits), contract the mesh into it with Lemma 5 / Corollary
 /// 5 machinery (dilation 1, near-optimal load factor over the surviving
 /// nodes), and place it there. Returns nothing when no such sub-cube
-/// exists.
+/// exists. The plan comes back unverified: its one certificate is the
+/// caller's verify(emb, faults), as in Planner::plan_avoiding.
 [[nodiscard]] DegradeProvider make_degrade_provider();
 
 }  // namespace hj::m2o

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "search/provider.hpp"
 
 namespace hj {
@@ -152,6 +155,47 @@ TEST(Planner, SinglePointMesh) {
   PlanResult r = p.plan(Shape{1, 1, 1});
   EXPECT_TRUE(r.report.valid);
   EXPECT_EQ(r.report.host_dim, 0u);
+}
+
+TEST(PlanAvoiding, PlanStringEmbedsThePlainPlanUnderEveryObjective) {
+  // A faulted plan wraps the fault-free plan string — the " [obj=...]"
+  // suffix of a non-default objective included — in its remap/detour
+  // tags, byte for byte.
+  for (const Shape& shape : {Shape{3, 3, 7}, Shape{6, 6, 10}}) {
+    for (u32 o = 0; o < cost::kNumObjectives; ++o) {
+      PlannerOptions opts;
+      opts.objective = static_cast<cost::Objective>(o);
+      Planner planner(opts);
+      planner.set_direct_provider(search::make_search_provider());
+      const PlanResult plain = planner.plan(shape);
+      if (opts.objective != cost::Objective::Lexicographic) {
+        EXPECT_NE(plain.plan.find(" [obj="), std::string::npos) << plain.plan;
+      }
+      const CubeNode a = plain.embedding->map(0);
+      FaultSet dead_node, dead_link;
+      dead_node.fail_node(a);
+      dead_link.fail_link(a, plain.embedding->map(1));
+      for (const FaultSet* faults : {&dead_node, &dead_link}) {
+        const PlanResult r = planner.plan_avoiding(shape, *faults);
+        const std::string what = shape.to_string() + " " +
+                                 cost::objective_name(opts.objective) +
+                                 ": " + r.plan;
+        ASSERT_TRUE(r.report.valid) << what;
+        ASSERT_TRUE(r.report.fault_free) << what;
+        EXPECT_TRUE(r.plan.starts_with("remap[") ||
+                    r.plan.starts_with("detour["))
+            << what;
+        const std::size_t at = r.plan.find(plain.plan);
+        ASSERT_NE(at, std::string::npos) << what << " vs " << plain.plan;
+        const std::string head = r.plan.substr(0, at);
+        const auto wrappers = static_cast<std::size_t>(
+            std::count(head.begin(), head.end(), '('));
+        EXPECT_EQ(r.plan.substr(at + plain.plan.size()),
+                  std::string(wrappers, ')'))
+            << what;
+      }
+    }
+  }
 }
 
 class PlannerCoverage : public ::testing::TestWithParam<Shape> {};

@@ -194,7 +194,7 @@ TEST(Broadcast, SkipsSelfAndColocated) {
 }
 
 TEST(Network, AccountingConsistentUnderE20StormDamage) {
-  // Regression for the bitword done/failed bookkeeping in run(): replay
+  // Regression for run()'s failed-message bookkeeping: replay
   // the E20 storm generator's damage (every kind, flapping included) as
   // the fault model of a stencil run and re-assert the SimResult
   // accounting invariant — every message ends delivered or failed, and
@@ -230,6 +230,50 @@ TEST(Network, AccountingConsistentUnderE20StormDamage) {
     EXPECT_GT(r.failed_messages, 0u);
     EXPECT_GT(r.delivered, 0u);
     EXPECT_FALSE(r.completed);
+  }
+}
+
+TEST(Network, FaultedStencilResultsArePinned) {
+  // A stencil exchange on the dilation-2 3x3x7 table under a dead link, a
+  // flapping link and transient drops heavy enough to exhaust some retry
+  // budgets. The simulator is deterministic, so every number is exact;
+  // rows cover both switching modes and spare bandwidth.
+  auto table = direct_embedding(Shape{3, 3, 7});
+  ASSERT_TRUE(table.has_value());
+  const Embedding& emb = **table;
+  const CubeNode a = emb.map(0);
+  FaultModel model;
+  model.permanent().fail_link(a, emb.map(1));
+  model.add_flapping(FlapSpec{a ^ 2, a ^ 6, 16, 5, 0});
+  model.set_transient(0.15, 7);
+  struct Row {
+    Switching sw;
+    u32 bandwidth;
+    u64 cycles;
+    u32 max_link_load;
+    u64 dropped_flits;
+    u64 failed_messages;
+  };
+  const Row rows[] = {
+      {Switching::StoreAndForward, 1, 14, 2, 207, 5},
+      {Switching::CutThrough, 1, 11, 2, 201, 4},
+      {Switching::CutThrough, 2, 8, 2, 200, 4},
+  };
+  for (const Row& row : rows) {
+    SimConfig config{emb.host_dim()};
+    config.switching = row.sw;
+    config.link_bandwidth = row.bandwidth;
+    config.message_flits = 3;
+    config.max_retries = 4;
+    config.faults = &model;
+    const SimResult r = simulate_stencil(emb, config);
+    SCOPED_TRACE(std::to_string(static_cast<int>(row.sw)) + " bw " +
+                 std::to_string(row.bandwidth));
+    EXPECT_TRUE(r.consistent());
+    EXPECT_EQ(r.cycles, row.cycles);
+    EXPECT_EQ(r.max_link_load, row.max_link_load);
+    EXPECT_EQ(r.dropped_flits, row.dropped_flits);
+    EXPECT_EQ(r.failed_messages, row.failed_messages);
   }
 }
 

@@ -1,9 +1,10 @@
 // Tests for the fault-storm engine: StormGenerator purity and the shape
 // of each correlated failure model, the FaultSchedule duplicate-arrival
 // guard, flapping-link determinism, the storm-aware watchdog and the
-// quarantine LRU in the live driver, the Degraded verdict contract, and
-// a seeded 50-storm repair sweep that must be idempotent-when-certified
-// and bit-identical at every thread count.
+// quarantine LRU in the live driver, the Degraded verdict contract, a
+// seeded 50-storm repair sweep that must be idempotent-when-certified
+// and bit-identical at every thread count, and pinned outcomes of seeded
+// E20 storms.
 #include "hypersim/storm.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "core/recovery.hpp"
 #include "hypersim/live.hpp"
 #include "manytoone/manytoone.hpp"
+#include "obs/obs.hpp"
 #include "search/provider.hpp"
 
 namespace hj::sim {
@@ -447,6 +449,125 @@ TEST(StormDeterminism, RepairSweepIdempotentAndIdenticalAtEveryThreadCount) {
     } else {
       EXPECT_EQ(digest, ref_digest)
           << "repair transcript differs at " << threads << " threads";
+    }
+  }
+}
+
+// --- Golden E20 storms -------------------------------------------------------
+
+// Restores the observability gate the test found.
+struct ObsGuard {
+  bool was = obs::enabled();
+  ~ObsGuard() { obs::set_enabled(was); }
+};
+
+struct GoldenStorm {
+  u32 base;  // index into the base shapes: 0 = Q10, 1 = Q12
+  StormKind kind;
+  u32 events;
+  u32 flapping;
+  u64 seed;
+  const char* outcome;
+  u64 detections;
+};
+
+/// One storm in the E20 configuration (message_flits = 4, both providers,
+/// arrivals compressed into the run's first cycles), as a digest of what
+/// the run reports. `detections` receives the detection layer's count.
+std::string storm_outcome(const PlanResult& base, const GoldenStorm& g,
+                          u64& detections) {
+  StormSpec spec;
+  spec.cube_dim = base.embedding->host_dim();
+  spec.kind = g.kind;
+  spec.events = g.events;
+  spec.flapping_links = g.flapping;
+  spec.seed = g.seed;
+  spec.first_cycle = 2;
+  spec.burst_size = 16;
+  spec.burst_spacing = 2;
+  spec.intra_burst_spacing = 0;
+  const Storm storm = StormGenerator(spec).generate();
+  FaultModel faults;
+  storm.install_flapping(faults);
+  LiveOptions opts = full_options();
+  opts.sim.message_flits = 4;
+  opts.sim.faults = &faults;
+  obs::Counter& detected =
+      obs::Registry::global().counter("sim.live.detections");
+  const u64 before = detected.value();
+  const LiveRunResult r =
+      run_stencil_with_recovery(base.embedding, storm.schedule, opts);
+  detections = detected.value() - before;
+  std::string d = std::string(verdict_name(r.verdict)) +
+                  " epochs=" + std::to_string(r.epochs) +
+                  " cycles=" + std::to_string(r.cycles) +
+                  " delivered=" + std::to_string(r.delivered) +
+                  " dropped=" + std::to_string(r.dropped_flits) +
+                  " deferred=" + std::to_string(r.deferred_watchdogs) +
+                  " rungs=";
+  for (const RecoveryEpochLog& e : r.log) d += e.rung + ",";
+  return d;
+}
+
+TEST(StormGolden, E20StormOutcomesArePinned) {
+  // The simulator and the recovery ladder are deterministic, so these
+  // outcomes are exact: a change that only makes storms cheaper must
+  // reproduce every verdict, cycle count, drop count, detection and
+  // repair rung.
+  const ObsGuard guard;
+  obs::set_enabled(true);
+  const PlanResult bases[] = {plan_shape(Shape{7, 9, 15}),
+                              plan_shape(Shape{11, 13, 23})};
+  ASSERT_EQ(bases[0].embedding->host_dim(), 10u);
+  ASSERT_EQ(bases[1].embedding->host_dim(), 12u);
+  const GoldenStorm storms[] = {
+      {0, StormKind::Regional, 200, 0, 1,
+       "certified epochs=4 cycles=33 delivered=5064 dropped=410 deferred=0 "
+       "rungs=replan,replan,replan,replan,",
+       70},
+      {0, StormKind::Cascading, 120, 0, 2,
+       "degraded epochs=5 cycles=29 delivered=5064 dropped=480 deferred=0 "
+       "rungs=replan,replan,replan,replan,replan,",
+       83},
+      {0, StormKind::Mixed, 120, 4, 3,
+       "certified epochs=6 cycles=33 delivered=5064 dropped=541 deferred=0 "
+       "rungs=replan,replan,replan,replan,replan,replan,",
+       96},
+      {1, StormKind::Regional, 400, 0, 1,
+       "certified epochs=4 cycles=25 delivered=18344 dropped=450 deferred=0 "
+       "rungs=replan,replan,replan,replan,",
+       84},
+      {1, StormKind::Cascading, 200, 0, 2,
+       "degraded epochs=4 cycles=37 delivered=18344 dropped=267 deferred=0 "
+       "rungs=replan,migrate,replan,replan,",
+       48},
+      {1, StormKind::Mixed, 200, 4, 3,
+       "certified epochs=4 cycles=37 delivered=18344 dropped=889 deferred=0 "
+       "rungs=migrate,migrate,replan,replan,",
+       175},
+      // Light storms, where the cheap rungs win.
+      {0, StormKind::Cascading, 6, 0, 4,
+       "certified epochs=1 cycles=21 delivered=5064 dropped=72 deferred=0 "
+       "rungs=migrate,",
+       17},
+      {0, StormKind::Mixed, 10, 2, 5,
+       "certified epochs=4 cycles=24 delivered=5064 dropped=240 deferred=0 "
+       "rungs=reroute,replan,reroute,reroute,",
+       36},
+      {1, StormKind::Regional, 12, 0, 6,
+       "certified epochs=1 cycles=17 delivered=18344 dropped=74 deferred=0 "
+       "rungs=migrate,",
+       18},
+  };
+  for (const GoldenStorm& g : storms) {
+    u64 detections = 0;
+    const std::string outcome = storm_outcome(bases[g.base], g, detections);
+    const std::string what = std::string(storm_kind_name(g.kind)) + " Q" +
+                             std::to_string(g.base == 0 ? 10 : 12) +
+                             " seed " + std::to_string(g.seed);
+    EXPECT_EQ(outcome, g.outcome) << what;
+    if (obs::enabled()) {
+      EXPECT_EQ(detections, g.detections) << what;
     }
   }
 }

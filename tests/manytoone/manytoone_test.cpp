@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "core/direct.hpp"
+#include "core/fault.hpp"
 #include "core/product.hpp"
 
 namespace hj::m2o {
@@ -166,6 +170,128 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{Shape{33, 65}, 8u},
                       std::tuple{Shape{5, 6, 7}, 4u},
                       std::tuple{Shape{127, 3}, 7u}));
+
+// --- Unit-path verify against the generic per-edge oracle ------------------
+
+/// Forwards map/edge_path/one_to_one but hides unit_paths(), so verify()
+/// walks every edge path generically: the oracle for the unit-path scan.
+class Opaque final : public Embedding {
+ public:
+  explicit Opaque(EmbeddingPtr base)
+      : Embedding(base->guest(), base->host_dim()), base_(std::move(base)) {}
+  [[nodiscard]] CubeNode map(MeshIndex idx) const override {
+    return base_->map(idx);
+  }
+  [[nodiscard]] CubePath edge_path(const MeshEdge& e) const override {
+    return base_->edge_path(e);
+  }
+  [[nodiscard]] bool one_to_one() const noexcept override {
+    return base_->one_to_one();
+  }
+
+ private:
+  EmbeddingPtr base_;
+};
+
+void expect_same_report(const VerifyReport& fast, const VerifyReport& slow,
+                        const std::string& what) {
+  EXPECT_EQ(fast.valid, slow.valid) << what;
+  EXPECT_EQ(fast.fault_free, slow.fault_free) << what;
+  EXPECT_EQ(fast.dilation, slow.dilation) << what;
+  EXPECT_EQ(fast.avg_dilation, slow.avg_dilation) << what;
+  EXPECT_EQ(fast.congestion, slow.congestion) << what;
+  EXPECT_EQ(fast.avg_congestion, slow.avg_congestion) << what;
+  EXPECT_EQ(fast.wirelength, slow.wirelength) << what;
+  EXPECT_EQ(fast.load_factor, slow.load_factor) << what;
+  EXPECT_EQ(fast.dilation_histogram, slow.dilation_histogram) << what;
+  EXPECT_EQ(fast.congestion_histogram, slow.congestion_histogram) << what;
+  EXPECT_EQ(fast.faulted_nodes, slow.faulted_nodes) << what;
+  EXPECT_EQ(fast.faulted_paths, slow.faulted_paths) << what;
+}
+
+/// A seeded mix of failed nodes and links in Q_n.
+FaultSet seeded_faults(u32 n, u64 seed, u32 count) {
+  FaultSet f;
+  u64 x = seed * 0x9e3779b97f4a7c15ull + 1;
+  const auto next = [&] {
+    x ^= x >> 31;
+    x *= 0xbf58476d1ce4e5b9ull;
+    x ^= x >> 29;
+    return x;
+  };
+  for (u32 i = 0; i < count; ++i) {
+    const CubeNode a = next() % (u64{1} << n);
+    if (i % 2 == 0)
+      f.fail_node(a);
+    else
+      f.fail_link(a, a ^ (u64{1} << (next() % n)));
+  }
+  return f;
+}
+
+/// verify and verify(faults) of `emb` must equal the generic oracle's
+/// reports field for field, for the fault-free run and several fault sets.
+void expect_unit_scan_matches_oracle(const EmbeddingPtr& emb,
+                                     const std::string& what) {
+  const Opaque oracle(emb);
+  expect_same_report(verify(*emb), verify(oracle), what);
+  const u32 n = emb->host_dim();
+  for (u64 seed = 1; seed <= 3; ++seed) {
+    const FaultSet f = seeded_faults(n, seed, 2 + 2 * static_cast<u32>(seed));
+    expect_same_report(verify(*emb, f), verify(oracle, f),
+                       what + " faults seed " + std::to_string(seed));
+  }
+}
+
+TEST(UnitPaths, GrayContractionChainsClaimUnitPaths) {
+  // Corollary 4/5 chains keep Gray's dilation-1 unit paths through the
+  // contraction, the fold and the sub-cube placement.
+  const EmbeddingPtr chain = gray_contraction(Shape{3, 5}, Shape{4, 2});
+  EXPECT_TRUE(chain->unit_paths());
+  const auto folded = std::make_shared<CubeFoldEmbedding>(chain, 2);
+  EXPECT_TRUE(folded->unit_paths());
+  EXPECT_TRUE(SubcubeEmbedding(folded, 4, 0x5, 0x1).unit_paths());
+  // A base without the contract passes that on.
+  auto table = direct_embedding(Shape{3, 5});
+  ASSERT_TRUE(table.has_value());
+  EXPECT_FALSE(ContractionEmbedding(*table, Shape{2, 2}).unit_paths());
+}
+
+TEST(UnitPaths, ContractSweepMatchesGenericVerify) {
+  for (const Shape& shape :
+       {Shape{19, 19}, Shape{7}, Shape{100}, Shape{9, 9, 9}, Shape{33, 65},
+        Shape{5, 6, 7}, Shape{127, 3}, Shape{8, 8}, Shape{11, 13, 23}})
+    for (u32 n = 1; n <= shape.minimal_cube_dim(); ++n) {
+      const std::string what = shape.to_string() + " Q" + std::to_string(n);
+      const ContractPlan plan = contract_to_cube(shape, n);
+      EXPECT_TRUE(plan.embedding->unit_paths()) << what << " " << plan.plan;
+      expect_unit_scan_matches_oracle(plan.embedding, what);
+    }
+}
+
+TEST(UnitPaths, DegradeProviderOutputsMatchGenericVerify) {
+  const DegradeProvider provider = make_degrade_provider();
+  u32 placed = 0;
+  for (const Shape& shape :
+       {Shape{4, 4, 4}, Shape{3, 3, 7}, Shape{5, 6, 8}, Shape{7, 9, 15}})
+    for (u64 seed = 1; seed <= 6; ++seed) {
+      const u32 n = shape.minimal_cube_dim();
+      const FaultSet faults = seeded_faults(n, seed, 3 * static_cast<u32>(seed));
+      const auto degraded = provider(shape, n, faults);
+      if (!degraded) continue;
+      ++placed;
+      const std::string what = shape.to_string() + " seed " +
+                               std::to_string(seed) + " " + degraded->plan;
+      EXPECT_TRUE(degraded->embedding->unit_paths()) << what;
+      const Opaque oracle(degraded->embedding);
+      const VerifyReport r = verify(*degraded->embedding, faults);
+      expect_same_report(r, verify(oracle, faults), what);
+      EXPECT_TRUE(r.valid) << what;
+      EXPECT_TRUE(r.fault_free) << what;
+      expect_unit_scan_matches_oracle(degraded->embedding, what);
+    }
+  EXPECT_GE(placed, 20u);
+}
 
 }  // namespace
 }  // namespace hj::m2o
