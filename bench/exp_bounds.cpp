@@ -26,18 +26,12 @@
 #include <vector>
 
 #include "core/planner.hpp"
+#include "rows.hpp"
 #include "search/provider.hpp"
 
 using namespace hj;
 
 namespace {
-
-FILE* g_json = nullptr;
-
-void emit(const std::string& line) {
-  std::fputs(line.c_str(), stdout);
-  if (g_json) std::fputs(line.c_str(), g_json);
-}
 
 struct Planned {
   PlanResult result;
@@ -108,7 +102,7 @@ int main(int argc, char** argv) {
       shapes.push_back(s);
   }
 
-  g_json = std::fopen("BENCH_bounds.json", "w");
+  const bench::RowFile rows("BENCH_bounds.json");
   std::printf("E21: optimality gaps per objective over %zu shapes%s\n\n",
               shapes.size(), quick ? " (--quick)" : "");
 
@@ -131,7 +125,7 @@ int main(int argc, char** argv) {
 
   for (std::size_t i = 0; i < shapes.size(); ++i)
     for (const cost::Objective o : kObjectives)
-      emit(bounds_row(shapes[i], o, plans[i][static_cast<u32>(o)]));
+      bench::emit(bounds_row(shapes[i], o, plans[i][static_cast<u32>(o)]));
 
   // The compatibility contract: default-constructed options and an
   // explicit lexicographic objective are the same planner.
@@ -154,7 +148,7 @@ int main(int argc, char** argv) {
                   "\"identical\":%s}\n",
                   s.to_string().c_str(), def.plan.c_str(), lex.plan.c_str(),
                   identical ? "true" : "false");
-    emit(buf);
+    bench::emit(buf);
   }
 
   // Per-objective win tallies against the default plans.
@@ -183,10 +177,9 @@ int main(int argc, char** argv) {
                   "\"metric_saved\":%llu}\n",
                   cost::objective_name(o), shapes.size(), wins, wins_dil2,
                   losses, static_cast<unsigned long long>(saved));
-    emit(buf);
+    bench::emit(buf);
   }
 
-  if (g_json) std::fclose(g_json);
   std::printf("\nequivalence: default == lexicographic on every shape: %s\n",
               all_identical ? "yes" : "NO?!");
   std::printf("wrote BENCH_bounds.json\n");

@@ -10,11 +10,12 @@
 // arrival to the detector pausing the run), rung chosen, migration cost,
 // post-repair dilation/congestion; plus a summary row per run with total
 // cycles and delivery accounting. Per-rung wall time and attempt counts
-// come from the observability registry (recovery.rung_us.* and
-// recovery.*.attempts/.certified), not from hand-rolled timers: the
-// registry is reset before each run so every summary row reports exactly
-// that run. Rows go to stdout AND to BENCH_recovery.json in the working
-// directory.
+// come from the observability layer, not from hand-rolled timers: wall
+// time sums the recovery.<rung> trace spans, attempts and certified
+// outcomes are the recovery.*.attempts/.certified registry counters. The
+// trace and the registry are cleared before each run so every summary
+// row reports exactly that run. Rows go to stdout AND to
+// BENCH_recovery.json in the working directory.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -22,18 +23,12 @@
 #include "hypersim/live.hpp"
 #include "manytoone/manytoone.hpp"
 #include "obs/obs.hpp"
+#include "rows.hpp"
 #include "search/provider.hpp"
 
 using namespace hj;
 
 namespace {
-
-FILE* g_json = nullptr;
-
-void emit(const std::string& line) {
-  std::fputs(line.c_str(), stdout);
-  if (g_json) std::fputs(line.c_str(), g_json);
-}
 
 std::string epoch_row(const char* shape, u32 trial, const char* mode,
                       u32 epoch, const sim::RecoveryEpochLog& e) {
@@ -55,8 +50,8 @@ std::string epoch_row(const char* shape, u32 trial, const char* mode,
   return buf;
 }
 
-/// Per-run rung economics, read back from the metrics registry after a
-/// live run (the registry is reset before each run).
+/// Per-run rung economics, read back from the trace and the metrics
+/// registry after a live run (both are cleared before each run).
 struct RungCosts {
   u64 us[3] = {0, 0, 0};  // reroute, migrate, replan wall time
   u64 attempts = 0;
@@ -67,11 +62,11 @@ RungCosts collect_rung_costs() {
   RungCosts c;
   auto& reg = obs::Registry::global();
   const char* rungs[3] = {"reroute", "migrate", "replan"};
+  const std::vector<obs::TraceEvent> spans = obs::Trace::global().events();
   for (int i = 0; i < 3; ++i) {
-    c.us[i] = reg.histogram(std::string("recovery.rung_us.") + rungs[i],
-                            obs::Kind::Timing)
-                  .sum();
     const std::string base = std::string("recovery.") + rungs[i];
+    for (const obs::TraceEvent& e : spans)
+      if (e.name == base) c.us[i] += e.dur_us;
     c.attempts += reg.counter(base + ".attempts").value();
     c.certified += reg.counter(base + ".certified").value();
   }
@@ -126,6 +121,7 @@ void run_shape(const Shape& shape) {
       opts.recovery.direct_provider = search::make_search_provider();
       opts.recovery.degrade_provider = m2o::make_degrade_provider();
       obs::Registry::global().reset();
+      obs::Trace::global().clear();
       const sim::LiveRunResult live =
           sim::run_stencil_with_recovery(plan.embedding, schedule, opts);
       const RungCosts rung_costs = collect_rung_costs();
@@ -133,11 +129,11 @@ void run_shape(const Shape& shape) {
       u64 total_cost = 0;
       for (std::size_t i = 0; i < live.log.size(); ++i) {
         total_cost += live.log[i].migration_cost;
-        emit(epoch_row(name.c_str(), trial, mode, static_cast<u32>(i),
-                       live.log[i]));
+        bench::emit(epoch_row(name.c_str(), trial, mode,
+                              static_cast<u32>(i), live.log[i]));
       }
-      emit(summary_row(name.c_str(), trial, mode, live, total_cost,
-                       rung_costs));
+      bench::emit(summary_row(name.c_str(), trial, mode, live, total_cost,
+                              rung_costs));
     }
   }
 }
@@ -145,13 +141,10 @@ void run_shape(const Shape& shape) {
 }  // namespace
 
 int main() {
-  obs::set_enabled(true);  // rung economics come from the registry
-  g_json = std::fopen("BENCH_recovery.json", "w");
-  if (!g_json)
-    std::fprintf(stderr, "warning: cannot open BENCH_recovery.json\n");
+  obs::set_enabled(true);  // rung economics come from spans + registry
+  const bench::RowFile rows("BENCH_recovery.json");
   for (const Shape& s :
        {Shape{{3, 3, 7}}, Shape{{4, 4, 4}}, Shape{{7, 9}}})
     run_shape(s);
-  if (g_json) std::fclose(g_json);
   return 0;
 }

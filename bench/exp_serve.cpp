@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "rows.hpp"
 #include "search/provider.hpp"
 #include "store/precompute.hpp"
 #include "store/serve.hpp"
@@ -40,13 +41,6 @@
 using namespace hj;
 
 namespace {
-
-FILE* g_json = nullptr;
-
-void emit(const std::string& line) {
-  std::fputs(line.c_str(), stdout);
-  if (g_json) std::fputs(line.c_str(), g_json);
-}
 
 // Nearest-rank quantiles come from the shared obs helper (same formula
 // the private copy here used, so E22's published numbers are unchanged).
@@ -90,7 +84,7 @@ void run_latency(const char* mode, const store::PlanStore* st,
     }
     lat.push_back(rep.latency_us);
   }
-  emit(latency_row(mode, lat));
+  bench::emit(latency_row(mode, lat));
 }
 
 /// Flood the bounded queue through the line protocol: every request must
@@ -119,7 +113,7 @@ void run_split(const store::PlanStore& st, const std::vector<Shape>& shapes,
                 static_cast<unsigned long long>(s.cold),
                 static_cast<unsigned long long>(s.degraded),
                 static_cast<unsigned long long>(s.shed));
-  emit(buf);
+  bench::emit(buf);
 }
 
 /// Flip `flips` seeded bytes inside the data region of a copy of the
@@ -172,7 +166,7 @@ void run_corruption(const std::string& store_path,
       static_cast<unsigned long long>(degraded),
       static_cast<unsigned long long>(cold),
       static_cast<unsigned long long>(mut.quarantined_count()));
-  emit(buf);
+  bench::emit(buf);
   std::remove(mut_path.c_str());
 }
 
@@ -180,9 +174,7 @@ void run_corruption(const std::string& store_path,
 
 int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-  g_json = std::fopen("BENCH_serve.json", "w");
-  if (!g_json)
-    std::fprintf(stderr, "warning: cannot open BENCH_serve.json\n");
+  const bench::RowFile rows("BENCH_serve.json");
 
   const u64 budget = quick ? 64 : 512;
   const std::string store_path = "exp_serve_store.hjs";
@@ -209,6 +201,5 @@ int main(int argc, char** argv) {
     run_corruption(store_path, shapes, flips, /*seed=*/0x522EULL + flips);
 
   std::remove(store_path.c_str());
-  if (g_json) std::fclose(g_json);
   return 0;
 }

@@ -28,18 +28,12 @@
 #include "hypersim/live.hpp"
 #include "hypersim/storm.hpp"
 #include "manytoone/manytoone.hpp"
+#include "rows.hpp"
 #include "search/provider.hpp"
 
 using namespace hj;
 
 namespace {
-
-FILE* g_json = nullptr;
-
-void emit(const std::string& line) {
-  std::fputs(line.c_str(), stdout);
-  if (g_json) std::fputs(line.c_str(), g_json);
-}
 
 struct Tally {
   u32 runs = 0;
@@ -140,9 +134,9 @@ void run_cell(const PlanResult& plan, sim::StormKind kind, u32 events,
       case sim::Verdict::Degraded: ++tally.degraded; break;
       case sim::Verdict::Failed: ++tally.failed; break;
     }
-    emit(storm_row(shape, host_dim, method, spec, storm, live));
+    bench::emit(storm_row(shape, host_dim, method, spec, storm, live));
   }
-  emit(survival_row(shape, host_dim, method, kind, events, tally));
+  bench::emit(survival_row(shape, host_dim, method, kind, events, tally));
 }
 
 PlanResult plan_shape(const Shape& shape) {
@@ -155,9 +149,7 @@ PlanResult plan_shape(const Shape& shape) {
 
 int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-  g_json = std::fopen("BENCH_storm.json", "w");
-  if (!g_json)
-    std::fprintf(stderr, "warning: cannot open BENCH_storm.json\n");
+  const bench::RowFile rows("BENCH_storm.json");
 
   if (quick) {
     // CI smoke: a 200-arrival regional storm (plus flapping) on a
@@ -192,6 +184,5 @@ int main(int argc, char** argv) {
     run_cell(q14, sim::StormKind::Regional, 200, 0, 1);
   }
 
-  if (g_json) std::fclose(g_json);
   return 0;
 }

@@ -329,7 +329,12 @@ int cmd_serve(int argc, char** argv) {
   }
   store::Server server(ps ? &*ps : nullptr, opts,
                        [] { return search::make_search_provider(); });
-  const int rc = store::run_serve(std::cin, std::cout, server);
+  int rc = 0;
+  try {
+    rc = store::run_serve(std::cin, std::cout, server);
+  } catch (const std::invalid_argument& e) {
+    return usage_error(argv[0], e.what());  // unwritable --stats-out
+  }
   const store::ServeStats st = server.stats();
   std::fprintf(stderr,
                "serve: %llu requests (%llu warm, %llu cold, %llu degraded, "

@@ -600,33 +600,32 @@ std::vector<PlanResult> plan_batch(const std::vector<Shape>& shapes,
         out[i] = relabel_plan(canon_plans[canon_of[i]], shapes[i]);
     });
   }
-  // Result-quality distributions are functions of the (deterministic)
-  // results; observed serially so the loop itself adds no sync.
-  if (obs::enabled()) {
-    auto& reg = obs::Registry::global();
-    obs::Histogram& dil = reg.histogram("plan.dilation");
-    obs::Histogram& slack = reg.histogram("plan.cube_slack");
-    obs::Counter& relabeled = reg.counter("plan.batch.relabeled");
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      dil.observe(out[i].report.dilation);
-      slack.observe(out[i].report.host_dim - shapes[i].minimal_cube_dim());
-      if (out[i].embedding != canon_plans[canon_of[i]].embedding)
-        relabeled.add();
-    }
-  }
-  // Batch summary from the calling thread (serial point), so it is a
-  // legitimate Deterministic event: counts are pure functions of the
-  // input batch, independent of worker scheduling.
-  if (obs::events_on()) {
+  // Result-quality distributions and the relabel count are functions of
+  // the (deterministic) results, computed serially on the calling thread
+  // so the loop itself adds no sync and the batch summary is a legitimate
+  // Deterministic event, independent of worker scheduling.
+  if (obs::enabled() || obs::events_on()) {
     u64 relabeled = 0;
     for (std::size_t i = 0; i < out.size(); ++i)
       if (out[i].embedding != canon_plans[canon_of[i]].embedding) ++relabeled;
-    obs::Event("plan.batch", obs::Kind::Deterministic, obs::Severity::Info,
-               "planner")
-        .kv("shapes", static_cast<u64>(shapes.size()))
-        .kv("unique", static_cast<u64>(uniq.size()))
-        .kv("relabeled", relabeled)
-        .emit();
+    if (obs::enabled()) {
+      auto& reg = obs::Registry::global();
+      obs::Histogram& dil = reg.histogram("plan.dilation");
+      obs::Histogram& slack = reg.histogram("plan.cube_slack");
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        dil.observe(out[i].report.dilation);
+        slack.observe(out[i].report.host_dim - shapes[i].minimal_cube_dim());
+      }
+      reg.counter("plan.batch.relabeled").add(relabeled);
+    }
+    if (obs::events_on()) {
+      obs::Event("plan.batch", obs::Kind::Deterministic, obs::Severity::Info,
+                 "planner")
+          .kv("shapes", static_cast<u64>(shapes.size()))
+          .kv("unique", static_cast<u64>(uniq.size()))
+          .kv("relabeled", relabeled)
+          .emit();
+    }
   }
   return out;
 }

@@ -11,17 +11,14 @@
 namespace hj::recovery {
 namespace {
 
-/// Per-rung registry scope: counts the attempt, times the rung, and (by
-/// watching the function's result object) counts certified outcomes.
-/// Rung wall time feeds recovery.rung_us.<rung> — the registry numbers
-/// E18 reports instead of hand-rolled bench timers. Attempt/certified
-/// counts are deterministic (the ladder walk is); durations are Timing.
+/// Per-rung registry scope: counts the attempt and (by watching the
+/// function's result object) the certified outcomes. These counts are
+/// deterministic (the ladder walk is). Rung wall time is not recorded
+/// here: each rung's HJ_SPAN("recovery.<rung>") is its timer.
 class RungObs {
  public:
   RungObs(const char* rung, const RepairResult& result)
-      : rung_(rung), result_(&result), on_(obs::enabled()) {
-    if (on_) t0_ = obs::now_us();
-  }
+      : rung_(rung), result_(&result), on_(obs::enabled()) {}
   RungObs(const RungObs&) = delete;
   RungObs& operator=(const RungObs&) = delete;
   ~RungObs() {
@@ -34,15 +31,11 @@ class RungObs {
       reg.histogram("recovery.migration_cost")
           .observe(result_->migration_cost);
     }
-    reg.histogram("recovery.rung_us." + std::string(rung_),
-                  obs::Kind::Timing)
-        .observe(obs::now_us() - t0_);
   }
 
  private:
   const char* rung_;
   const RepairResult* result_;
-  u64 t0_ = 0;
   bool on_;
 };
 

@@ -14,16 +14,6 @@ struct LogicalMessage {
   MeshIndex to = 0;
 };
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* verdict_name(Verdict v) noexcept {
@@ -366,7 +356,7 @@ std::string recovery_log_json(const LiveRunResult& r) {
      << "  \"quarantine_evictions\": " << r.quarantine_evictions << ",\n"
      << "  \"repairs_denied\": " << r.repairs_denied << ",\n"
      << "  \"deferred_watchdogs\": " << r.deferred_watchdogs << ",\n"
-     << "  \"witness\": \"" << json_escape(r.witness) << "\",\n"
+     << "  \"witness\": \"" << obs::json_escape(r.witness) << "\",\n"
      << "  \"uncovered\": [";
   for (std::size_t i = 0; i < r.uncovered.size(); ++i)
     os << (i ? ", " : "") << r.uncovered[i];
@@ -385,13 +375,13 @@ std::string recovery_log_json(const LiveRunResult& r) {
        << "\"arrival_cycle\": " << e.arrival_cycle
        << ", \"detect_cycle\": " << e.detect_cycle
        << ", \"detect_latency\": " << e.detect_latency
-       << ", \"fault\": \"" << json_escape(e.fault) << "\""
-       << ", \"rung\": \"" << json_escape(e.rung) << "\""
+       << ", \"fault\": \"" << obs::json_escape(e.fault) << "\""
+       << ", \"rung\": \"" << obs::json_escape(e.rung) << "\""
        << ", \"moved_nodes\": " << e.moved_nodes
        << ", \"migration_cost\": " << e.migration_cost
        << ", \"dilation\": " << e.dilation
        << ", \"congestion\": " << e.congestion
-       << ", \"plan\": \"" << json_escape(e.plan) << "\"}";
+       << ", \"plan\": \"" << obs::json_escape(e.plan) << "\"}";
   }
   os << (r.log.empty() ? "]\n" : "\n  ]\n") << "}\n";
   return os.str();

@@ -21,16 +21,6 @@ std::atomic<bool>& enabled_flag() {
 }
 #endif
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 /// Buckets up to the last nonzero one, as a JSON array of
 /// [lower_bound, count] pairs (self-describing, viewer-friendly).
 void append_buckets_json(std::ostringstream& os, const HistogramSnapshot& h) {
@@ -69,6 +59,16 @@ u32 thread_ordinal() noexcept {
   static std::atomic<u32> next{0};
   thread_local const u32 id = next.fetch_add(1, std::memory_order_relaxed);
   return id;
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '"' || c == '\\') out += '\\';
+    out += c;
+  }
+  return out;
 }
 
 const char* kind_name(Kind k) noexcept {

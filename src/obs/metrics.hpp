@@ -56,8 +56,12 @@ void set_enabled(bool on) noexcept;
 #endif
 
 /// Microseconds since the process's observability epoch (first call).
-/// Shared clock of trace spans and rung-duration histograms.
+/// Shared clock of trace spans, event timestamps and chunk timings.
 [[nodiscard]] u64 now_us() noexcept;
+
+/// `s` with every '"' and '\\' backslash-escaped: the string escaping
+/// shared by the registry, trace and recovery-log JSON exports.
+[[nodiscard]] std::string json_escape(const std::string& s);
 
 /// Small dense per-thread ordinal (0, 1, 2, ... in first-use order);
 /// also the trace `tid`. Stable for the thread's lifetime.

@@ -16,7 +16,7 @@
 //
 // Metric naming: dotted lowercase paths, subsystem first —
 // plancache.*, plan.batch.*, planner.*, par.*, sim.*, recovery.*,
-// live.*, serve.*, store.*. Kind::Deterministic only for observation
+// live.*, store.*. Kind::Deterministic only for observation
 // sets that are pure functions of the workload (see the contract in
 // metrics.hpp).
 //

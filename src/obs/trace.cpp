@@ -4,20 +4,6 @@
 
 namespace hj::obs {
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
-}  // namespace
-
 Trace& Trace::global() {
   static Trace t;
   return t;
@@ -42,6 +28,11 @@ std::string Trace::to_json() const {
   }
   os << (events_.empty() ? "]}\n" : "\n]}\n");
   return os.str();
+}
+
+std::vector<TraceEvent> Trace::events() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return events_;
 }
 
 void Trace::clear() {

@@ -45,6 +45,8 @@ class Trace {
   /// it in about:tracing or ui.perfetto.dev. Events are emitted in
   /// recording order (Chrome sorts by ts itself).
   [[nodiscard]] std::string to_json() const;
+  /// Copy of every recorded event, in recording order.
+  [[nodiscard]] std::vector<TraceEvent> events() const;
   void clear();
   [[nodiscard]] u64 size() const;
 

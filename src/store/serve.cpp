@@ -23,28 +23,19 @@ using Clock = std::chrono::steady_clock;
                               .count());
 }
 
-/// Cached handles for the fixed serve counters (the obs.hpp idiom): the
+/// Cached handles for the store lookup counters (the obs.hpp idiom): the
 /// registry map is probed once, at first use, and every later add() is
-/// one relaxed atomic — the per-request lookup the old count(name)
-/// helper paid is gone.
+/// one relaxed atomic.
 struct Counters {
   obs::Counter& store_hits;
   obs::Counter& store_misses;
   obs::Counter& store_corrupt;
-  obs::Counter& serve_warm;
-  obs::Counter& serve_cold;
-  obs::Counter& serve_degraded;
-  obs::Counter& serve_shed;
 
   static Counters& get() {
     static Counters c{
         obs::Registry::global().counter("store.hits", obs::Kind::Timing),
         obs::Registry::global().counter("store.misses", obs::Kind::Timing),
         obs::Registry::global().counter("store.corrupt", obs::Kind::Timing),
-        obs::Registry::global().counter("serve.warm", obs::Kind::Timing),
-        obs::Registry::global().counter("serve.cold", obs::Kind::Timing),
-        obs::Registry::global().counter("serve.degraded", obs::Kind::Timing),
-        obs::Registry::global().counter("serve.shed", obs::Kind::Timing),
     };
     return c;
   }
@@ -188,9 +179,6 @@ Reply Server::handle(const Shape& shape, u64 queue_us) {
         case Verdict::Shed: stats_.shed += 1; break;
       }
     }
-    if (store_) {
-      stats_.store_corrupt = store_->quarantined_count();
-    }
   }
   // Always-on phase attribution: these relaxed-atomic observes are what
   // the live `stats` command and --stats-every snapshots answer from,
@@ -200,40 +188,13 @@ Reply Server::handle(const Shape& shape, u64 queue_us) {
   phase_verify_.observe(rep.phase.verify_us);
   phase_plan_.observe(rep.phase.plan_us);
   phase_total_.observe(rep.latency_us);
-  if (obs::enabled()) {
-    static obs::Histogram& lat = obs::Registry::global().histogram(
-        "serve.latency_us", obs::Kind::Timing);
-    static obs::Histogram& h_queue = obs::Registry::global().histogram(
-        "serve.phase_us.queue", obs::Kind::Timing);
-    static obs::Histogram& h_lookup = obs::Registry::global().histogram(
-        "serve.phase_us.lookup", obs::Kind::Timing);
-    static obs::Histogram& h_verify = obs::Registry::global().histogram(
-        "serve.phase_us.verify", obs::Kind::Timing);
-    static obs::Histogram& h_plan = obs::Registry::global().histogram(
-        "serve.phase_us.plan", obs::Kind::Timing);
-    lat.observe(rep.latency_us);
-    h_queue.observe(rep.phase.queue_us);
-    h_lookup.observe(rep.phase.lookup_us);
-    h_verify.observe(rep.phase.verify_us);
-    h_plan.observe(rep.phase.plan_us);
-    if (rep.ok) {
-      Counters& c = Counters::get();
-      (rep.verdict == Verdict::ServedWarm ? c.serve_warm
-       : rep.verdict == Verdict::Degraded ? c.serve_degraded
-                                          : c.serve_cold)
-          .add();
-    }
-  }
   return rep;
 }
 
 void Server::note_shed() {
-  {
-    std::lock_guard<std::mutex> lk(stats_mu_);
-    stats_.requests += 1;
-    stats_.shed += 1;
-  }
-  if (obs::enabled()) Counters::get().serve_shed.add();
+  std::lock_guard<std::mutex> lk(stats_mu_);
+  stats_.requests += 1;
+  stats_.shed += 1;
 }
 
 ServeStats Server::stats() const {
@@ -367,6 +328,8 @@ int run_serve(std::istream& in, std::ostream& out, Server& server) {
   if (stats_every > 0) {
     if (!server.options().stats_out.empty()) {
       stats_file.open(server.options().stats_out, std::ios::app);
+      require(stats_file.is_open(), "cannot open stats file '%s' for writing",
+              server.options().stats_out.c_str());
       stats_sink = &stats_file;
     } else {
       stats_sink = &std::cerr;

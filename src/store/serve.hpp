@@ -30,7 +30,9 @@
 // events (serve.request / serve.reply / serve.shed) into the event log
 // + flight recorder so a crashed daemon's postmortem names the
 // in-flight request. `--stats-every=N` additionally emits a one-line
-// JSON snapshot every N processed requests.
+// JSON snapshot every N processed requests. The per-server histograms
+// are the only copy of these latencies: nothing is mirrored into the
+// global metrics registry.
 #pragma once
 
 #include <condition_variable>
@@ -100,7 +102,6 @@ struct ServeStats {
   u64 degraded = 0;
   u64 shed = 0;
   u64 errors = 0;
-  u64 store_corrupt = 0;
 };
 
 /// The serve engine. Thread-safe: handle() may be called concurrently
@@ -127,9 +128,7 @@ class Server {
   /// Always-on per-phase latency histograms ("queue", "lookup",
   /// "verify", "plan", "total"), independent of obs::enabled() — the
   /// live `stats` protocol command and --stats-every snapshots answer
-  /// from these without restarting the daemon. When obs::enabled(),
-  /// the same observations are mirrored into the global registry as
-  /// serve.phase_us.* for --metrics-out exports.
+  /// from these without restarting the daemon.
   [[nodiscard]] std::map<std::string, obs::HistogramSnapshot>
   phase_snapshot() const;
 
@@ -215,7 +214,8 @@ class BoundedQueue {
 /// server.options().queue_cap and processed by one worker thread;
 /// admission overflow and deadline expiry produce `verdict=shed` lines.
 /// Returns 0 (protocol-level problems are per-request `error=` replies,
-/// not process failures).
+/// not process failures). Throws std::invalid_argument, before reading
+/// any request, when the options' stats_out file cannot be opened.
 int run_serve(std::istream& in, std::ostream& out, Server& server);
 
 }  // namespace hj::store

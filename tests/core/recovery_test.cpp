@@ -5,12 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
+#include <utility>
 
 #include "core/io.hpp"
 #include "core/product.hpp"
 #include "core/router.hpp"
 #include "manytoone/manytoone.hpp"
+#include "obs/obs.hpp"
 #include "search/provider.hpp"
 
 namespace hj::recovery {
@@ -29,6 +32,37 @@ PlanResult plan_shape(const Shape& shape) {
   return planner.plan(shape);
 }
 
+/// One failed link under the first single-hop edge path of `emb`; both
+/// of its endpoints stay healthy.
+FaultSet link_fault_under_edge(const Embedding& emb) {
+  FaultSet faults;
+  bool armed = false;
+  emb.guest().for_each_edge([&](const MeshEdge& e) {
+    if (armed) return;
+    const CubePath p = emb.edge_path(e);
+    if (p.size() == 2) {
+      faults.fail_link(p[0], p[1]);
+      armed = true;
+    }
+  });
+  EXPECT_TRUE(armed);
+  return faults;
+}
+
+/// The used address of a 3x3x7 plan on Q6 at Hamming distance 6 from its
+/// only spare: no migration radius below 6 reaches the spare.
+CubeNode used_node_far_from_spare(const Embedding& emb) {
+  std::vector<bool> used(64, false);
+  for (MeshIndex i = 0; i < 63; ++i) used[emb.map(i)] = true;
+  CubeNode spare = 64;
+  for (CubeNode v = 0; v < 64; ++v)
+    if (!used[v]) spare = v;
+  EXPECT_LT(spare, 64u);
+  const CubeNode far = spare ^ 0x3f;
+  EXPECT_TRUE(used[far]);
+  return far;
+}
+
 // --- Rung (a): reroute ------------------------------------------------------
 
 TEST(Recovery, LinkFaultRepairsByReroute) {
@@ -41,18 +75,7 @@ TEST(Recovery, LinkFaultRepairsByReroute) {
   RecoveryOptions opts = full_options();
   opts.max_dilation_increase = 2;
 
-  // Kill a link under some routed edge; both endpoints stay healthy.
-  FaultSet faults;
-  bool armed = false;
-  base.embedding->guest().for_each_edge([&](const MeshEdge& e) {
-    if (armed) return;
-    const CubePath p = base.embedding->edge_path(e);
-    if (p.size() == 2) {
-      faults.fail_link(p[0], p[1]);
-      armed = true;
-    }
-  });
-  ASSERT_TRUE(armed);
+  const FaultSet faults = link_fault_under_edge(*base.embedding);
 
   RecoveryController ctl(Shape{4, 4, 4}, opts);
   const RepairResult r =
@@ -155,17 +178,8 @@ TEST(Recovery, FarSpareEscalatesToReplan) {
   // spare: reroute fails (dead endpoint), migrate finds no spare in
   // radius, so the controller must replan.
   const PlanResult base = plan_shape(Shape{3, 3, 7});
-  std::vector<bool> used(64, false);
-  for (MeshIndex i = 0; i < 63; ++i) used[base.embedding->map(i)] = true;
-  CubeNode spare = 64;
-  for (CubeNode v = 0; v < 64; ++v)
-    if (!used[v]) spare = v;
-  ASSERT_LT(spare, 64u);
-  const CubeNode far = spare ^ 0x3f;  // Hamming distance 6 from the spare
-  ASSERT_TRUE(used[far]);
-
   FaultSet faults;
-  faults.fail_node(far);
+  faults.fail_node(used_node_far_from_spare(*base.embedding));
   RecoveryOptions opts = full_options();
   opts.max_migration_radius = 2;
   RecoveryController ctl(Shape{3, 3, 7}, opts);
@@ -181,17 +195,7 @@ TEST(Recovery, FarSpareEscalatesToReplan) {
 
 TEST(Recovery, ForceReplanSkipsLocalRungs) {
   const PlanResult base = plan_shape(Shape{4, 4, 4});
-  FaultSet faults;
-  bool armed = false;
-  base.embedding->guest().for_each_edge([&](const MeshEdge& e) {
-    if (armed) return;
-    const CubePath p = base.embedding->edge_path(e);
-    if (p.size() == 2) {
-      faults.fail_link(p[0], p[1]);
-      armed = true;
-    }
-  });
-  ASSERT_TRUE(armed);
+  const FaultSet faults = link_fault_under_edge(*base.embedding);
   RecoveryOptions opts = full_options();
   opts.force_replan = true;
   RecoveryController ctl(Shape{4, 4, 4}, opts);
@@ -219,6 +223,58 @@ TEST(Recovery, RepairRejectsWrongShape) {
   RecoveryController ctl(Shape{3, 3});
   EXPECT_THROW((void)ctl.repair(*base.embedding, FaultSet{}, 1),
                std::invalid_argument);
+}
+
+// --- Telemetry: the rung spans are the rung timer ---------------------------
+
+TEST(Recovery, OneSpanPerRungAttempt) {
+#ifndef HJ_DISABLE_OBS
+  // E18 reads each rung's wall time as the sum of its recovery.<rung>
+  // trace spans, so every attempt must open exactly one span: pinned
+  // against the deterministic recovery.<rung>.attempts counters.
+  const bool was_on = obs::enabled();
+  obs::set_enabled(true);
+  obs::Registry::global().reset();
+  obs::Trace::global().clear();
+
+  // Reroute certifies (as in LinkFaultRepairsByReroute).
+  const PlanResult cube = plan_shape(Shape{4, 4, 4});
+  RecoveryOptions reroute_opts = full_options();
+  reroute_opts.max_dilation_increase = 2;
+  RecoveryController reroute(Shape{4, 4, 4}, reroute_opts);
+  const FaultSet link = link_fault_under_edge(*cube.embedding);
+  EXPECT_EQ(reroute.repair(*cube.embedding, link, cube.report.dilation).rung,
+            Rung::Reroute);
+
+  // Reroute and migrate fail, replan certifies (as in
+  // FarSpareEscalatesToReplan).
+  const PlanResult base = plan_shape(Shape{3, 3, 7});
+  FaultSet far;
+  far.fail_node(used_node_far_from_spare(*base.embedding));
+  RecoveryOptions replan_opts = full_options();
+  replan_opts.max_migration_radius = 2;
+  RecoveryController replan(Shape{3, 3, 7}, replan_opts);
+  EXPECT_EQ(replan.repair(*base.embedding, far, base.report.dilation).rung,
+            Rung::Replan);
+
+  const std::vector<obs::TraceEvent> spans = obs::Trace::global().events();
+  const std::pair<Rung, u64> expected[] = {
+      {Rung::Reroute, 2}, {Rung::Migrate, 1}, {Rung::Replan, 1}};
+  for (const auto& [rung, want] : expected) {
+    const std::string name = std::string("recovery.") + rung_name(rung);
+    const u64 attempts =
+        obs::Registry::global().counter(name + ".attempts").value();
+    EXPECT_EQ(attempts, want) << name;
+    EXPECT_EQ(static_cast<u64>(std::count_if(
+                  spans.begin(), spans.end(),
+                  [&](const obs::TraceEvent& e) { return e.name == name; })),
+              attempts)
+        << name;
+  }
+  obs::set_enabled(was_on);
+#else
+  GTEST_SKIP() << "observability compiled out";
+#endif
 }
 
 // --- Satellite: fault-aware plan_batch and cache purity ---------------------

@@ -13,6 +13,7 @@
 
 #include "core/io.hpp"
 #include "core/verify.hpp"
+#include "obs/metrics.hpp"
 #include "store/precompute.hpp"
 #include "store/serve.hpp"
 #include "store/store.hpp"
@@ -625,6 +626,35 @@ TEST(RunServe, StatsEveryWritesOneLineJsonSnapshots) {
   }
   EXPECT_NE(lines[1].find("\"requests\":4"), std::string::npos) << lines[1];
   std::remove(snap.c_str());
+}
+
+TEST(RunServe, ObsSessionRegistersNoServeMetrics) {
+#ifndef HJ_DISABLE_OBS
+  // The Server's own counters and phase histograms are the only record
+  // of serve verdicts and latency: an HJ_OBS session mirrors none of it
+  // into the global registry.
+  const bool was_on = obs::enabled();
+  obs::set_enabled(true);
+  Server server(nullptr);
+  std::istringstream in("2x3\n3x2\nstats\nquit\n");
+  std::ostringstream out;
+  EXPECT_EQ(run_serve(in, out, server), 0);
+  server.note_shed();
+  obs::set_enabled(was_on);
+  EXPECT_EQ(server.stats().requests, 3u);
+  EXPECT_EQ(server.phase_snapshot().at("total").count, 2u);
+
+  const obs::Registry::Snapshot snap = obs::Registry::global().snapshot();
+  const auto no_serve_names = [](const auto& metrics) {
+    for (const auto& entry : metrics)
+      EXPECT_NE(entry.first.rfind("serve.", 0), 0u) << entry.first;
+  };
+  no_serve_names(snap.counters);
+  no_serve_names(snap.gauges);
+  no_serve_names(snap.histograms);
+#else
+  GTEST_SKIP() << "observability compiled out";
+#endif
 }
 
 }  // namespace
