@@ -5,8 +5,9 @@
 // measures the three serve-path claims:
 //
 //   * "latency" rows — exact p50/p99/mean request latency for cold
-//     serving (live planner, no store, a fresh server per request) vs
-//     warm serving (store hit + mandatory re-verify), one request per
+//     serving (live planner, no store, a fresh server per request in a
+//     freshly forked child, so the process-wide search memo is empty)
+//     vs warm serving (store hit + mandatory re-verify), one request per
 //     canonical shape so every request pays the full path it is
 //     labelled with.
 //   * "split" rows — a request flood through the bounded admission
@@ -22,13 +23,18 @@
 // tools/check_bench.py. `exp_serve --quick` shrinks the store budget
 // for CI.
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <random>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include "obs/metrics.hpp"
 #include "rows.hpp"
@@ -62,29 +68,78 @@ std::string latency_row(const char* mode, const std::vector<u64>& lat) {
   return buf;
 }
 
-/// Latency distribution over every canonical shape, each requested once
-/// so no request is served from the server's plan cache. `store` ==
-/// nullptr measures the cold path: a fresh server (planner, plan cache
-/// and search provider) per request, so nothing planned for one request
-/// outlives it. With a store every request is a hit plus the mandatory
-/// re-verify.
-void run_latency(const char* mode, const store::PlanStore* st,
-                 const std::vector<Shape>& shapes) {
-  const auto provider = [] { return search::make_search_provider(); };
-  store::Server warm(st, {}, provider);
+void report_failure(const Shape& s, const store::Reply& rep) {
+  std::fprintf(stderr, "latency run failed on %s: %s\n",
+               s.to_string().c_str(), rep.error.c_str());
+}
+
+/// Warm-path latencies: every canonical shape requested once from one
+/// server over the store, so each request is a store hit plus the
+/// mandatory re-verify and none is served from the server's plan cache.
+std::vector<u64> warm_latencies(const store::PlanStore& st,
+                                const std::vector<Shape>& shapes) {
+  store::Server warm(&st, {}, [] { return search::make_search_provider(); });
   std::vector<u64> lat;
   lat.reserve(shapes.size());
   for (const Shape& s : shapes) {
-    const store::Reply rep =
-        st ? warm.handle(s) : store::Server(nullptr, {}, provider).handle(s);
-    if (!rep.ok) {
-      std::fprintf(stderr, "latency run failed on %s: %s\n",
-                   s.to_string().c_str(), rep.error.c_str());
-      continue;
-    }
-    lat.push_back(rep.latency_us);
+    const store::Reply rep = warm.handle(s);
+    if (rep.ok)
+      lat.push_back(rep.latency_us);
+    else
+      report_failure(s, rep);
   }
-  bench::emit(latency_row(mode, lat));
+  return lat;
+}
+
+/// Cold-path latencies: each canonical shape planned by a fresh server
+/// (planner, plan cache, search provider) in its own forked child, which
+/// sends its latency_us back over a pipe. Call this before anything in
+/// the process searches: a child then starts with an empty process-wide
+/// search memo, so nothing searched for one request — or by the
+/// precompute — answers another. The child first serves the shape once
+/// with no provider (which cannot touch the memo), so its copy-on-write
+/// pages and the library's lazily built tables are in place and the
+/// timed request measures planning and search, not process start-up.
+std::vector<u64> cold_latencies(const std::vector<Shape>& shapes) {
+  constexpr u64 kFailed = ~u64{0};
+  std::vector<u64> lat;
+  lat.reserve(shapes.size());
+  for (const Shape& s : shapes) {
+    int fds[2];
+    if (pipe(fds) != 0) throw std::runtime_error("pipe failed");
+    std::fflush(nullptr);
+    const pid_t pid = fork();
+    if (pid < 0) throw std::runtime_error("fork failed");
+    if (pid == 0) {
+      close(fds[0]);
+      u64 us = kFailed;
+      try {
+        (void)store::Server(nullptr, {}, nullptr).handle(s);
+        const store::Reply rep = store::Server(nullptr, {}, [] {
+                                   return search::make_search_provider();
+                                 }).handle(s);
+        if (rep.ok)
+          us = rep.latency_us;
+        else
+          report_failure(s, rep);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "cold child failed on %s: %s\n",
+                     s.to_string().c_str(), e.what());
+      }
+      const bool sent = write(fds[1], &us, sizeof us) == sizeof us;
+      std::fflush(nullptr);
+      _exit(sent ? 0 : 1);
+    }
+    close(fds[1]);
+    u64 us = kFailed;
+    if (read(fds[0], &us, sizeof us) != sizeof us) us = kFailed;
+    close(fds[0]);
+    int status = 0;
+    while (waitpid(pid, &status, 0) < 0)
+      if (errno != EINTR) throw std::runtime_error("waitpid failed");
+    if (us != kFailed) lat.push_back(us);
+  }
+  return lat;
 }
 
 /// Flood the bounded queue through the line protocol: every request must
@@ -177,6 +232,12 @@ int main(int argc, char** argv) {
   const bench::RowFile rows("BENCH_serve.json");
 
   const u64 budget = quick ? 64 : 512;
+  const std::vector<Shape> shapes =
+      store::enumerate_canonical_shapes(budget, 3);
+  // Cold first, while no search has run in this process (see
+  // cold_latencies); its per-request servers live and die in children.
+  const std::vector<u64> cold = cold_latencies(shapes);
+
   const std::string store_path = "exp_serve_store.hjs";
   std::remove(store_path.c_str());
   std::remove(store::journal_path(store_path).c_str());
@@ -188,14 +249,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "precompute did not complete\n");
     return 1;
   }
-  const std::vector<Shape> shapes =
-      store::enumerate_canonical_shapes(budget, 3);
   const store::PlanStore st = store::PlanStore::open(store_path);
 
-  // Warm first, so the cold row's per-request servers (heavy allocation
-  // churn) cannot skew it.
-  run_latency("warm", &st, shapes);
-  run_latency("cold", nullptr, shapes);
+  bench::emit(latency_row("warm", warm_latencies(st, shapes)));
+  bench::emit(latency_row("cold", cold));
   run_split(st, shapes, quick ? 2 : 4);
   for (const u32 flips : {1u, 8u, quick ? 32u : 256u})
     run_corruption(store_path, shapes, flips, /*seed=*/0x522EULL + flips);

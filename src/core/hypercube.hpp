@@ -66,6 +66,23 @@ class Hypercube {
     return (lo << 6) | bit;
   }
 
+  /// Dense per-link tables — verify()'s congestion counter and the
+  /// router's link loads — hold 2^dim * dim slots and index the link
+  /// between adjacent `a` and `b` as lo * dim + bit (lo the smaller
+  /// address, bit the flipped dimension), for cubes up to
+  /// kDenseLinkDimLimit; larger cubes key a hash map by edge_key().
+  static constexpr u32 kDenseLinkDimLimit = 18;
+  [[nodiscard]] static u64 dense_link_index(CubeNode a, CubeNode b,
+                                            u32 dim) noexcept {
+    assert(adjacent(a, b));
+    const CubeNode lo = a < b ? a : b;
+    return lo * dim + static_cast<u32>(std::countr_zero(a ^ b));
+  }
+
+  /// Dense per-node arrays — verify()'s load count and the router's
+  /// detour distances — cover cubes up to this dimension.
+  static constexpr u32 kDenseNodeDimLimit = 26;
+
  private:
   u32 dim_;
 };

@@ -1,7 +1,6 @@
 #include "core/router.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <unordered_map>
 #include <vector>
 
@@ -15,31 +14,68 @@ struct TwoHopEdge {
   u32 choice = 0;    // current midpoint index
 };
 
+/// Load per cube link. Cubes up to Hypercube::kDenseLinkDimLimit keep a
+/// dense table indexed by Hypercube::dense_link_index with a first-touch
+/// dirty list, so the aggregates visit only links ever loaded (the layout
+/// of verify()'s congestion counter); larger cubes key a hash map by
+/// Hypercube::edge_key().
 class LinkLoads {
  public:
+  explicit LinkLoads(u32 dim)
+      : dim_(dim), dense_(dim > 0 && dim <= Hypercube::kDenseLinkDimLimit) {
+    if (dense_) {
+      table_.assign((u64{1} << dim) * dim, 0);
+      touched_.assign(table_.size(), 0);
+    }
+  }
   void add(CubeNode x, CubeNode y, i32 delta) {
-    loads_[Hypercube::edge_key(x, y)] += delta;
+    if (!dense_) {
+      sparse_[Hypercube::edge_key(x, y)] += delta;
+      return;
+    }
+    const u64 k = Hypercube::dense_link_index(x, y, dim_);
+    if (!touched_[k]) {
+      touched_[k] = 1;
+      dirty_.push_back(k);
+    }
+    table_[k] += delta;
   }
   [[nodiscard]] i32 get(CubeNode x, CubeNode y) const {
-    auto it = loads_.find(Hypercube::edge_key(x, y));
-    return it == loads_.end() ? 0 : it->second;
+    if (dense_) return table_[Hypercube::dense_link_index(x, y, dim_)];
+    auto it = sparse_.find(Hypercube::edge_key(x, y));
+    return it == sparse_.end() ? 0 : it->second;
   }
   [[nodiscard]] u32 max_load() const {
     i32 m = 0;
-    for (const auto& [k, v] : loads_) m = std::max(m, v);
+    for_each_load([&](i32 v) { m = std::max(m, v); });
     return static_cast<u32>(m);
   }
   /// Sum of squared link loads — the balance score used by
-  /// route_balanced (order-independent, so iterating the map is safe).
+  /// route_balanced (order-independent, so the visit order is free).
   [[nodiscard]] u64 sum_squares() const {
     u64 s = 0;
-    for (const auto& [k, v] : loads_)
+    for_each_load([&](i32 v) {
       s += static_cast<u64>(v) * static_cast<u64>(v);
+    });
     return s;
   }
 
  private:
-  std::unordered_map<u64, i32> loads_;
+  /// Visit the load of every link ever added to.
+  template <class Fn>
+  void for_each_load(Fn&& fn) const {
+    if (dense_)
+      for (u64 k : dirty_) fn(table_[k]);
+    else
+      for (const auto& [k, v] : sparse_) fn(v);
+  }
+
+  u32 dim_;
+  bool dense_;
+  std::vector<i32> table_;
+  std::vector<u8> touched_;
+  std::vector<u64> dirty_;  // first-touch order
+  std::unordered_map<u64, i32> sparse_;
 };
 
 /// Cost of routing through midpoint m given current loads (the midpoint's
@@ -54,7 +90,7 @@ u64 midpoint_cost(const LinkLoads& loads, CubeNode a, CubeNode m, CubeNode b) {
 
 RouteStats route_minimize_congestion(ExplicitEmbedding& emb, u32 max_passes) {
   RouteStats stats;
-  LinkLoads loads;
+  LinkLoads loads(emb.host_dim());
   std::vector<TwoHopEdge> twos;
 
   emb.guest().for_each_edge([&](const MeshEdge& e) {
@@ -160,7 +196,7 @@ RouteStats route_balanced(ExplicitEmbedding& emb, u32 candidates,
     MeshEdge edge;
     CubeNode a, b;
   };
-  LinkLoads base;  // forced single-hop loads, shared by every candidate
+  LinkLoads base(dim);  // forced single-hop loads, shared by every candidate
   std::vector<LongEdge> longs;
   emb.guest().for_each_edge([&](const MeshEdge& e) {
     const CubeNode a = emb.map(e.a), b = emb.map(e.b);
@@ -265,6 +301,60 @@ RouteStats route_balanced(ExplicitEmbedding& emb, u32 candidates,
 
 namespace {
 
+/// Backward-BFS distances for find_detour. Cubes up to
+/// Hypercube::kDenseNodeDimLimit (and budgets that fit a byte) use a
+/// per-thread dense array holding distance + 1 (0 = unreached), all-zero
+/// between calls: each call clears exactly the nodes on its visit list.
+/// Larger cubes use a hash map. The visit list is also the BFS FIFO.
+class DetourDist {
+ public:
+  DetourDist(u32 dim, u32 budget)
+      : s_(scratch()),
+        dense_(dim <= Hypercube::kDenseNodeDimLimit && budget < 0xff) {
+    if (dense_ && s_.dist.size() < (u64{1} << dim))
+      s_.dist.resize(u64{1} << dim, 0);
+    s_.order.clear();
+  }
+  DetourDist(const DetourDist&) = delete;
+  DetourDist& operator=(const DetourDist&) = delete;
+  ~DetourDist() {
+    if (dense_)
+      for (CubeNode v : s_.order) s_.dist[v] = 0;
+  }
+
+  [[nodiscard]] bool reached(CubeNode v) const {
+    return dense_ ? s_.dist[v] != 0 : sparse_.count(v) != 0;
+  }
+  [[nodiscard]] u32 at(CubeNode v) const {
+    return dense_ ? s_.dist[v] - 1u : sparse_.at(v);
+  }
+  void reach(CubeNode v, u32 d) {
+    if (dense_)
+      s_.dist[v] = static_cast<u8>(d + 1);
+    else
+      sparse_.emplace(v, d);
+    s_.order.push_back(v);
+  }
+  /// Reached nodes in visit order.
+  [[nodiscard]] const std::vector<CubeNode>& order() const {
+    return s_.order;
+  }
+
+ private:
+  struct Scratch {
+    std::vector<u8> dist;
+    std::vector<CubeNode> order;
+  };
+  static Scratch& scratch() {
+    thread_local Scratch s;
+    return s;
+  }
+
+  Scratch& s_;
+  bool dense_;
+  std::unordered_map<CubeNode, u32> sparse_;
+};
+
 /// Healthy shortest path from `a` to `b` of length <= `budget`, choosing
 /// the least-loaded link at every step; empty path when none exists.
 /// Deterministic: BFS layers are explored in neighbor-bit order and ties
@@ -272,37 +362,32 @@ namespace {
 CubePath find_detour(u32 dim, const LinkLoads& loads, const FaultSet& faults,
                      CubeNode a, CubeNode b, u32 budget) {
   // Backward BFS from b over the healthy subgraph, bounded by `budget`.
-  std::unordered_map<CubeNode, u32> dist;
-  dist.emplace(b, 0);
-  std::deque<CubeNode> frontier{b};
-  while (!frontier.empty()) {
-    const CubeNode v = frontier.front();
-    frontier.pop_front();
-    const u32 d = dist[v];
+  DetourDist dist(dim, budget);
+  dist.reach(b, 0);
+  for (std::size_t head = 0; head < dist.order().size(); ++head) {
+    const CubeNode v = dist.order()[head];
+    const u32 d = dist.at(v);
     if (v == a || d == budget) continue;
     for (u32 bit = 0; bit < dim; ++bit) {
       const CubeNode w = Hypercube::neighbor(v, bit);
-      if (dist.count(w) || faults.node_failed(w) || faults.link_failed(v, w))
+      if (dist.reached(w) || faults.node_failed(w) || faults.link_failed(v, w))
         continue;
-      dist.emplace(w, d + 1);
-      frontier.push_back(w);
+      dist.reach(w, d + 1);
     }
   }
-  const auto it = dist.find(a);
-  if (it == dist.end()) return {};
+  if (!dist.reached(a)) return {};
 
   // Forward load-greedy walk along strictly decreasing distance-to-b.
   CubePath path;
   path.push_back(a);
   CubeNode cur = a;
   while (cur != b) {
-    const u32 d = dist[cur];
+    const u32 d = dist.at(cur);
     CubeNode best = cur;
     i32 best_load = 0;
     for (u32 bit = 0; bit < dim; ++bit) {
       const CubeNode w = Hypercube::neighbor(cur, bit);
-      const auto wd = dist.find(w);
-      if (wd == dist.end() || wd->second + 1 != d) continue;
+      if (!dist.reached(w) || dist.at(w) + 1 != d) continue;
       if (faults.link_failed(cur, w)) continue;
       const i32 l = loads.get(cur, w);
       if (best == cur || l < best_load || (l == best_load && w < best)) {
@@ -342,7 +427,7 @@ DetourStats route_around_faults(ExplicitEmbedding& emb, const FaultSet& faults,
     CubeNode a, b;
     CubePath path;  // current (replacement) path; empty until routed
   };
-  LinkLoads loads;
+  LinkLoads loads(dim);
   std::vector<Affected> affected;
 
   emb.guest().for_each_edge([&](const MeshEdge& e) {

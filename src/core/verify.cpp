@@ -48,7 +48,7 @@ VerifyScratch& scratch() {
 class CongestionCounter {
  public:
   CongestionCounter(u32 dim, VerifyScratch& s) : dim_(dim), s_(s) {
-    if (dim_ <= kDenseDimLimit && dim_ > 0) {
+    if (dim_ <= Hypercube::kDenseLinkDimLimit && dim_ > 0) {
       dense_ = true;
       const u64 want = (u64{1} << dim_) * dim_;
       if (s_.dense_cong.size() < want) s_.dense_cong.resize(want, 0);
@@ -62,13 +62,11 @@ class CongestionCounter {
   }
 
   void add(CubeNode a, CubeNode b) {
-    const CubeNode lo = a < b ? a : b;
-    const u32 bit = static_cast<u32>(std::countr_zero(a ^ b));
     if (dense_) {
-      const u64 k = lo * dim_ + bit;
+      const u64 k = Hypercube::dense_link_index(a, b, dim_);
       if (s_.dense_cong[k]++ == 0) s_.cong_dirty.push_back(k);
     } else {
-      ++sparse_[(lo << 6) | bit];
+      ++sparse_[Hypercube::edge_key(a, b)];
     }
   }
 
@@ -93,7 +91,6 @@ class CongestionCounter {
   }
 
  private:
-  static constexpr u32 kDenseDimLimit = 18;
   u32 dim_;
   VerifyScratch& s_;
   bool dense_ = false;
@@ -122,7 +119,7 @@ VerifyReport verify_impl(const Embedding& emb, const FaultSet* faults) {
   // --- Node map: range, injectivity / load factor. ---
   {
     std::unordered_map<CubeNode, u64> load;
-    const bool dense = r.host_dim <= 26;
+    const bool dense = r.host_dim <= Hypercube::kDenseNodeDimLimit;
     if (dense && s.dense_load.size() < (u64{1} << r.host_dim))
       s.dense_load.resize(u64{1} << r.host_dim, 0);
     u64 max_load = 0;

@@ -19,9 +19,9 @@
 // max_cycles cap.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/fault.hpp"
@@ -85,7 +85,14 @@ class FaultModel {
             "than the period (%llu), or the link is simply dead",
             static_cast<unsigned long long>(f.down),
             static_cast<unsigned long long>(f.period));
-    flapping_[Hypercube::edge_key(f.a, f.b)] = f;
+    const u64 key = Hypercube::edge_key(f.a, f.b);
+    flap_filter_ |= u64{1} << filter_bit(key);
+    const std::size_t i = flap_index(key);
+    if (i < flapping_.size() && flapping_[i].first == key)
+      flapping_[i].second = f;
+    else
+      flapping_.insert(flapping_.begin() + static_cast<std::ptrdiff_t>(i),
+                       {key, f});
   }
 
   [[nodiscard]] bool has_flapping() const noexcept {
@@ -99,10 +106,11 @@ class FaultModel {
   /// down window at `cycle`. Pure function of (spec, cycle).
   [[nodiscard]] bool flapping_down(u64 cycle, CubeNode x,
                                    CubeNode y) const noexcept {
-    if (flapping_.empty()) return false;
-    const auto it = flapping_.find(Hypercube::edge_key(x, y));
-    if (it == flapping_.end()) return false;
-    const FlapSpec& f = it->second;
+    const u64 key = Hypercube::edge_key(x, y);
+    if (!(flap_filter_ >> filter_bit(key) & 1)) return false;
+    const std::size_t i = flap_index(key);
+    if (i == flapping_.size() || flapping_[i].first != key) return false;
+    const FlapSpec& f = flapping_[i].second;
     return (cycle + f.phase) % f.period < f.down;
   }
 
@@ -125,11 +133,29 @@ class FaultModel {
     return x;
   }
 
+  /// Bit of `key` in flap_filter_ (the top six bits of a Fibonacci hash).
+  [[nodiscard]] static u32 filter_bit(u64 key) noexcept {
+    return static_cast<u32>((key * 0x9e3779b97f4a7c15ull) >> 58);
+  }
+  /// Position of the first flapping link whose key is not below `key`.
+  [[nodiscard]] std::size_t flap_index(u64 key) const noexcept {
+    return static_cast<std::size_t>(
+        std::lower_bound(flapping_.begin(), flapping_.end(), key,
+                         [](const std::pair<u64, FlapSpec>& entry, u64 k) {
+                           return entry.first < k;
+                         }) -
+        flapping_.begin());
+  }
+
   FaultSet permanent_;
   double drop_p_ = 0.0;
   u64 seed_ = 0;
   u64 threshold_ = 0;
-  std::unordered_map<u64, FlapSpec> flapping_;  // Hypercube::edge_key
+  // Sorted by Hypercube::edge_key; one entry per link.
+  std::vector<std::pair<u64, FlapSpec>> flapping_;
+  // The filter_bit of every flapping link: the per-hop lookup of a link
+  // whose bit is clear (nearly every link) skips the search.
+  u64 flap_filter_ = 0;
 };
 
 /// One timed permanent-fault arrival: at the start of `cycle`, the node

@@ -3,8 +3,8 @@
 // guard, flapping-link determinism, the storm-aware watchdog and the
 // quarantine LRU in the live driver, the Degraded verdict contract, a
 // seeded 50-storm repair sweep that must be idempotent-when-certified
-// and bit-identical at every thread count, and pinned outcomes of seeded
-// E20 storms.
+// and bit-identical at every thread count, pinned outcomes of seeded
+// E20 storms, and pinned router paths under a storm's fault set.
 #include "hypersim/storm.hpp"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include "core/io.hpp"
 #include "core/parallel.hpp"
 #include "core/recovery.hpp"
+#include "core/router.hpp"
 #include "hypersim/live.hpp"
 #include "manytoone/manytoone.hpp"
 #include "obs/obs.hpp"
@@ -304,6 +305,23 @@ TEST(FlapModel, DeterministicDutyCycle) {
                std::invalid_argument);  // down window swallows the period
 }
 
+TEST(FlapModel, LaterSpecReplacesEarlierForTheSameLink) {
+  // Registered out of key order; the re-registration of 4-5 (given as
+  // 5-4) replaces its spec instead of adding a second entry.
+  FaultModel m;
+  m.add_flapping(FlapSpec{4, 5, /*period=*/8, /*down=*/1, /*phase=*/0});
+  m.add_flapping(FlapSpec{0, 1, 8, 2, 0});
+  m.add_flapping(FlapSpec{2, 6, 8, 3, 0});
+  m.add_flapping(FlapSpec{5, 4, 8, 4, 0});
+  EXPECT_EQ(m.num_flapping(), 3u);
+  for (u64 cycle = 0; cycle < 8; ++cycle) {
+    EXPECT_EQ(m.flapping_down(cycle, 0, 1), cycle < 2) << "cycle " << cycle;
+    EXPECT_EQ(m.flapping_down(cycle, 6, 2), cycle < 3) << "cycle " << cycle;
+    EXPECT_EQ(m.flapping_down(cycle, 4, 5), cycle < 4) << "cycle " << cycle;
+    EXPECT_FALSE(m.flapping_down(cycle, 4, 6));  // unregistered link
+  }
+}
+
 // --- Storm-aware watchdog ---------------------------------------------------
 
 TEST(RunLiveStorm, WatchdogDefersCongestionStalls) {
@@ -570,6 +588,75 @@ TEST(StormGolden, E20StormOutcomesArePinned) {
       EXPECT_EQ(detections, g.detections) << what;
     }
   }
+}
+
+// --- Golden router paths -----------------------------------------------------
+
+/// FNV-1a over every guest edge's (endpoints, axis, cube path), in edge
+/// order: any change to a chosen path, not just to a verdict, moves it.
+u64 path_digest(const ExplicitEmbedding& emb) {
+  u64 h = 0xcbf29ce484222325ull;
+  const auto mix = [&](u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  emb.guest().for_each_edge([&](const MeshEdge& e) {
+    mix(e.a);
+    mix(e.b);
+    mix(e.axis);
+    const CubePath p = emb.edge_path(e);
+    mix(p.size());
+    for (const CubeNode v : p) mix(v);
+  });
+  return h;
+}
+
+TEST(RouterGolden, PathsUnderRegionalStormArePinned) {
+  // The StormGolden outcomes only see verdicts; a router tie-break change
+  // can keep every verdict and still move paths. Pin the paths the three
+  // routers choose on the Q12 base, the detours under a regional storm's
+  // full fault set included.
+  const PlanResult base = plan_shape(Shape{11, 13, 23});
+  ASSERT_EQ(base.embedding->host_dim(), 12u);
+  std::vector<CubeNode> nodes;
+  base.embedding->map_all(nodes);
+  const auto fresh = [&] {
+    return ExplicitEmbedding(base.embedding->guest(), 12, nodes);
+  };
+
+  StormSpec spec;
+  spec.cube_dim = 12;
+  spec.kind = StormKind::Regional;
+  spec.events = 400;
+  spec.seed = 1;
+  const Storm storm = StormGenerator(spec).generate();
+  FaultSet faults;
+  std::size_t cursor = 0;
+  storm.schedule.apply_until(~u64{0}, faults, cursor);
+  ASSERT_EQ(cursor, storm.schedule.size());
+
+  ExplicitEmbedding routed = fresh();
+  const RouteStats rs = route_minimize_congestion(routed);
+  EXPECT_EQ(path_digest(routed), 0x87497e6b01a1452bull);
+  EXPECT_EQ(rs.congestion, 2u);
+  EXPECT_EQ(rs.passes_used, 3u);
+  EXPECT_EQ(rs.rerouted_edges, 5u);
+
+  ExplicitEmbedding balanced = fresh();
+  const RouteStats bs = route_balanced(balanced);
+  EXPECT_EQ(path_digest(balanced), 0x4264b66c682dfa03ull);
+  EXPECT_EQ(bs.congestion, 2u);
+  EXPECT_EQ(bs.rerouted_edges, 272u);
+
+  const DetourStats ds = route_around_faults(routed, faults);
+  EXPECT_EQ(path_digest(routed), 0xe05b45e8ddd609d6ull);
+  EXPECT_FALSE(ds.ok);
+  EXPECT_EQ(ds.detoured_edges, 107u);
+  EXPECT_EQ(ds.unroutable_edges, 439u);
+  EXPECT_EQ(ds.max_added_dilation, 2u);
+  EXPECT_EQ(ds.congestion, 4u);
 }
 
 }  // namespace

@@ -23,7 +23,9 @@ Checks, per file (schema chosen by basename):
         every equivalence row is identical (the lexicographic default
         reproduces the historical planner), and the wirelength
         objective's wins row shows >= 1 win at dilation <= 2
-      - BENCH_serve*: latency rows keep p99 >= p50 >= 0 us, the split
+      - BENCH_serve*: latency rows keep p99 >= p50 >= 0 us, the cold
+        row's mean_us is >= the warm row's (a cold row faster than
+        store hits means the cold requests reused warm state), the split
         row's warm+cold+degraded+shed verdicts sum to its requests
         (shedding is accounted load, not loss), and every corruption row
         answers and verifies 100% of its requests with
@@ -273,7 +275,7 @@ def check_bounds(rows, errors):
 
 
 def check_serve(rows, errors):
-    modes = set()
+    modes = {}  # mode -> mean_us
     saw_split = saw_corruption = False
     for lineno, row in rows:
         where = f"line {lineno}"
@@ -285,7 +287,7 @@ def check_serve(rows, errors):
             if row["mode"] not in SERVE_MODES:
                 errors.append(f"{where}: latency mode '{row['mode']}' "
                               f"not in {SERVE_MODES}")
-            modes.add(row["mode"])
+            modes[row["mode"]] = row["mean_us"]
             if row["requests"] < 1:
                 errors.append(f"{where}: latency row with no requests")
             if not (0 <= row["p50_us"] <= row["p99_us"]):
@@ -322,6 +324,9 @@ def check_serve(rows, errors):
     for mode in SERVE_MODES:
         if mode not in modes:
             errors.append(f"no latency row for mode '{mode}'")
+    if "cold" in modes and "warm" in modes and modes["cold"] < modes["warm"]:
+        errors.append(f"cold mean_us {modes['cold']} < warm mean_us "
+                      f"{modes['warm']}: the cold requests were not cold")
     if not saw_split:
         errors.append("no split row")
     if not saw_corruption:

@@ -8,8 +8,9 @@
 #   suite — matches the CI "sanitize" job.
 # tsan: ThreadSanitizer (HJ_SANITIZE_THREAD), runs the concurrency-heavy
 #   suites (recovery controller + live runs sharing caches with
-#   verify_batch, the parallel engine tests, and the plan-serve daemon's
-#   bounded queue + reader/worker threads) at HJ_THREADS=4.
+#   verify_batch, the parallel engine tests, the plan-serve daemon's
+#   bounded queue + reader/worker threads, and the search provider's
+#   process-wide memo) at HJ_THREADS=4.
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -24,10 +25,11 @@ if [ "$mode" = tsan ]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build "$build" -j "$(nproc)" \
     --target test_recovery test_live test_storm test_determinism \
-    test_planner test_bitword test_scaling test_hypersim test_store
+    test_planner test_bitword test_scaling test_hypersim test_store \
+    test_search
   TSAN_OPTIONS=halt_on_error=1 HJ_THREADS=4 \
     ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
-    -R 'Recovery|PlanBatch|LiveRun|LiveDeterminism|RunLive|Determinism|Planner|Storm|Bitword|Scaling|Network|Serve|BoundedQueue'
+    -R 'Recovery|PlanBatch|LiveRun|LiveDeterminism|RunLive|Determinism|Planner|Storm|Bitword|Scaling|Network|Serve|BoundedQueue|SearchMemo'
 else
   cmake -B "$build" -S "$repo" -DHJ_SANITIZE=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
