@@ -1,8 +1,8 @@
-// E22 — plan serving at production scale: store-hit latency, overload
-// shedding, and corruption survival.
+// E22 — plan serving at production scale: store-hit latency and
+// corruption survival.
 //
 // Builds a plan store with the checkpointed precompute pass, then
-// measures the three serve-path claims:
+// measures the two serve-path claims:
 //
 //   * "latency" rows — exact p50/p99/mean request latency for cold
 //     serving (live planner, no store, a fresh server per request in a
@@ -10,9 +10,6 @@
 //     vs warm serving (store hit + mandatory re-verify), one request per
 //     canonical shape so every request pays the full path it is
 //     labelled with.
-//   * "split" rows — a request flood through the bounded admission
-//     queue: the warm/cold/degraded/shed verdict split must account for
-//     every request (shed is load shedding, not loss).
 //   * "corruption" rows — seeded byte flips confined to the store's
 //     data region (superblock/index flips fail open(), the louder
 //     failure mode), then every canonical shape queried: all requests
@@ -28,7 +25,6 @@
 #include <cstring>
 #include <fstream>
 #include <random>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -48,8 +44,6 @@ using namespace hj;
 
 namespace {
 
-// Nearest-rank quantiles come from the shared obs helper (same formula
-// the private copy here used, so E22's published numbers are unchanged).
 using obs::percentile;
 
 std::string latency_row(const char* mode, const std::vector<u64>& lat) {
@@ -142,35 +136,6 @@ std::vector<u64> cold_latencies(const std::vector<Shape>& shapes) {
   return lat;
 }
 
-/// Flood the bounded queue through the line protocol: every request must
-/// be accounted for by exactly one verdict.
-void run_split(const store::PlanStore& st, const std::vector<Shape>& shapes,
-               u32 rounds) {
-  store::ServeOptions opts;
-  opts.queue_cap = 8;
-  opts.deadline_us = 0;  // isolate queue-full shedding
-  store::Server server(&st, opts,
-                       [] { return search::make_search_provider(); });
-  std::ostringstream reqs;
-  for (u32 r = 0; r < rounds; ++r)
-    for (const Shape& s : shapes) reqs << s.to_string() << "\n";
-  reqs << "quit\n";
-  std::istringstream in(reqs.str());
-  std::ostringstream out;
-  (void)store::run_serve(in, out, server);
-  const store::ServeStats s = server.stats();
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "{\"row\":\"split\",\"requests\":%llu,\"warm\":%llu,"
-                "\"cold\":%llu,\"degraded\":%llu,\"shed\":%llu}\n",
-                static_cast<unsigned long long>(s.requests),
-                static_cast<unsigned long long>(s.warm),
-                static_cast<unsigned long long>(s.cold),
-                static_cast<unsigned long long>(s.degraded),
-                static_cast<unsigned long long>(s.shed));
-  bench::emit(buf);
-}
-
 /// Flip `flips` seeded bytes inside the data region of a copy of the
 /// store, then query every canonical shape: the daemon must answer and
 /// verify 100% of them, degrading (live fallback) where records died.
@@ -253,7 +218,6 @@ int main(int argc, char** argv) {
 
   bench::emit(latency_row("warm", warm_latencies(st, shapes)));
   bench::emit(latency_row("cold", cold));
-  run_split(st, shapes, quick ? 2 : 4);
   for (const u32 flips : {1u, 8u, quick ? 32u : 256u})
     run_corruption(store_path, shapes, flips, /*seed=*/0x522EULL + flips);
 

@@ -57,10 +57,12 @@
 #include <fcntl.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <random>
 #include <string>
@@ -99,7 +101,33 @@ std::string g_stats_out;
 u64 g_stats_every = 0;
 u64 g_serve_queue = 64;
 u64 g_serve_deadline_us = 100000;
-u32 g_precompute_batch = 32;
+u64 g_precompute_batch = 32;
+u64 g_threads = 0;  // 0: HJ_THREADS or the hardware decides
+
+/// The numeric flags. Each value is parsed strictly: decimal digits only
+/// (no sign, space or unit suffix), no overflow, within [lo, hi].
+/// --threads admits the same [1, 4096] range as HJ_THREADS.
+struct CountFlag {
+  const char* prefix;
+  u64 lo, hi;
+  u64* value;
+};
+constexpr u64 kMaxCount = std::numeric_limits<u64>::max();
+const CountFlag kCountFlags[] = {
+    {"--batch=", 1, std::numeric_limits<u32>::max(), &g_precompute_batch},
+    {"--queue=", 0, kMaxCount, &g_serve_queue},
+    {"--deadline-us=", 0, kMaxCount, &g_serve_deadline_us},
+    {"--stats-every=", 0, kMaxCount, &g_stats_every},
+    {"--threads=", 1, 4096, &g_threads},
+};
+
+std::optional<u64> parse_count(const char* text, u64 lo, u64 hi) {
+  const char* end = text + std::strlen(text);
+  u64 v = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, v);
+  if (ec != std::errc{} || ptr != end || v < lo || v > hi) return std::nullopt;
+  return v;
+}
 
 void print_usage(const char* argv0) {
   std::fprintf(
@@ -280,7 +308,7 @@ int cmd_precompute(int argc, char** argv) {
   require(argc >= 3, "usage: precompute <store> [max_nodes] [max_rank]");
   store::PrecomputeOptions opts;
   opts.planner = planner_options();
-  opts.batch_size = g_precompute_batch;
+  opts.batch_size = static_cast<u32>(g_precompute_batch);
   if (argc >= 4) opts.max_nodes = std::strtoull(argv[3], nullptr, 10);
   if (argc >= 5) opts.max_rank = static_cast<u32>(std::atoi(argv[4]));
   store::PrecomputeResult r;
@@ -583,7 +611,23 @@ int main(int argc, char** argv) {
     // flags (anywhere on the line) before dispatch.
     int out = 1;
     for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--faults=", 9) == 0) {
+      const auto count = std::find_if(
+          std::begin(kCountFlags), std::end(kCountFlags),
+          [&](const CountFlag& f) {
+            return std::strncmp(argv[i], f.prefix, std::strlen(f.prefix)) == 0;
+          });
+      if (count != std::end(kCountFlags)) {
+        const std::size_t len = std::strlen(count->prefix);
+        const auto v = parse_count(argv[i] + len, count->lo, count->hi);
+        if (!v)
+          return usage_error(
+              argv[0], std::string(count->prefix, len - 1) +
+                           " expects an integer in [" +
+                           std::to_string(count->lo) + ", " +
+                           std::to_string(count->hi) + "], got '" +
+                           (argv[i] + len) + "'");
+        *count->value = *v;
+      } else if (std::strncmp(argv[i], "--faults=", 9) == 0) {
         g_faults = sim::parse_fault_spec(argv[i] + 9);
         g_have_faults = true;
       } else if (std::strncmp(argv[i], "--fault-schedule=", 17) == 0) {
@@ -602,12 +646,6 @@ int main(int argc, char** argv) {
           return 2;
         }
         g_objective = *obj;
-      } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-        g_precompute_batch = static_cast<u32>(std::atoi(argv[i] + 8));
-      } else if (std::strncmp(argv[i], "--queue=", 8) == 0) {
-        g_serve_queue = std::strtoull(argv[i] + 8, nullptr, 10);
-      } else if (std::strncmp(argv[i], "--deadline-us=", 14) == 0) {
-        g_serve_deadline_us = std::strtoull(argv[i] + 14, nullptr, 10);
       } else if (std::strncmp(argv[i], "--flight=", 9) == 0) {
         g_flight = argv[i] + 9;
         require(!g_flight.empty(), "--flight= needs a file path");
@@ -625,12 +663,8 @@ int main(int argc, char** argv) {
           return usage_error(argv[0],
                              "cannot open '" + g_events_out + "' for writing");
         obs::EventLog::global().set_stream_fd(fd);  // lives until exit
-      } else if (std::strncmp(argv[i], "--stats-every=", 14) == 0) {
-        g_stats_every = std::strtoull(argv[i] + 14, nullptr, 10);
       } else if (std::strncmp(argv[i], "--stats-out=", 12) == 0) {
         g_stats_out = argv[i] + 12;
-      } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-        par::set_thread_override(static_cast<u32>(std::atoi(argv[i] + 10)));
       } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
         g_metrics_out = argv[i] + 14;
         obs::set_enabled(true);
@@ -642,6 +676,7 @@ int main(int argc, char** argv) {
       }
     }
     argc = out;
+    par::set_thread_override(static_cast<u32>(g_threads));
     require(argc >= 2, "expected a command before/after the flags");
     const std::string cmd = argv[1];
     int rc = -1;

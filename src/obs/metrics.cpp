@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
@@ -101,8 +102,10 @@ u64 HistogramSnapshot::quantile(double q) const noexcept {
 u64 percentile(std::vector<u64> samples, double p) noexcept {
   if (samples.empty()) return 0;
   std::sort(samples.begin(), samples.end());
-  const std::size_t idx = static_cast<std::size_t>(
-      p * static_cast<double>(samples.size() - 1) + 0.5);
+  // Nearest rank: the smallest sample with at least p·n samples at or
+  // below it, i.e. 1-based rank ceil(p·n).
+  const double rank = std::ceil(p * static_cast<double>(samples.size()));
+  const std::size_t idx = rank < 1.0 ? 0 : static_cast<std::size_t>(rank) - 1;
   return samples[std::min(idx, samples.size() - 1)];
 }
 

@@ -156,9 +156,9 @@ struct HistogramSnapshot {
                          const HistogramSnapshot&) = default;
 };
 
-/// Exact nearest-rank percentile of raw samples (p in [0,1]); sorts a
-/// copy. Shared by bench/exp_serve and the serve phase reports so every
-/// published p50/p99 uses one formula.
+/// Exact nearest-rank percentile of raw samples (p in [0,1]): the
+/// sample of 1-based rank ceil(p·n), 0 for no samples; sorts a copy.
+/// bench/exp_serve's latency rows use it.
 [[nodiscard]] u64 percentile(std::vector<u64> samples, double p) noexcept;
 
 /// Fixed power-of-two-bucket histogram of u64 samples. Bucket 0 counts

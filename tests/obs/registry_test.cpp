@@ -167,5 +167,19 @@ TEST_F(RegistryTest, ThreadOrdinalsAreSmallAndStable) {
   EXPECT_NE(other, mine);
 }
 
+TEST(Percentile, NearestRankOnSmallSamples) {
+  // Rank ceil(p·n): for {1,2,3,4} the median is the 2nd sample, not the
+  // 3rd that rounding p·(n-1) = 1.5 up would give.
+  const std::vector<u64> four{4, 2, 3, 1};
+  EXPECT_EQ(percentile(four, 0.0), 1u);
+  EXPECT_EQ(percentile(four, 0.25), 1u);
+  EXPECT_EQ(percentile(four, 0.5), 2u);
+  EXPECT_EQ(percentile(four, 0.51), 3u);
+  EXPECT_EQ(percentile(four, 0.99), 4u);
+  EXPECT_EQ(percentile(four, 1.0), 4u);
+  EXPECT_EQ(percentile({7}, 0.5), 7u);
+  EXPECT_EQ(percentile({}, 0.5), 0u);
+}
+
 }  // namespace
 }  // namespace hj::obs

@@ -533,6 +533,50 @@ TEST(RunServe, LineProtocolVerdictsErrorsAndStats) {
   remove_store(path);
 }
 
+TEST(RunServe, FloodAccountsEveryRequestOnce) {
+  // A two-deep queue and no deadline: the reader outruns the worker, so
+  // requests are served warm (in the store), cold (outside its budget)
+  // or shed at admission. Every request must land in exactly one of
+  // those counts and get exactly one reply line.
+  const std::string path = temp_path("flood.hjs");
+  remove_store(path);
+  PrecomputeOptions popts;
+  popts.max_nodes = 16;
+  ASSERT_TRUE(precompute(path, popts).complete);
+  const PlanStore store = PlanStore::open(path);
+  ServeOptions opts;
+  opts.queue_cap = 2;
+  opts.deadline_us = 0;
+  Server server(&store, opts);
+
+  constexpr u64 kRequests = 300;
+  const char* shapes[] = {"17x19x23", "2x3", "3x7", "2x2x2", "4x4", "5x9"};
+  std::ostringstream reqs;
+  for (u64 i = 0; i < kRequests; ++i) reqs << shapes[i % 6] << "\n";
+  reqs << "quit\n";
+  std::istringstream in(reqs.str());
+  std::ostringstream out;
+  EXPECT_EQ(run_serve(in, out, server), 0);
+
+  const ServeStats st = server.stats();
+  EXPECT_EQ(st.requests, kRequests);
+  EXPECT_EQ(st.errors, 0u);
+  EXPECT_EQ(st.warm + st.cold + st.degraded + st.shed, kRequests);
+
+  std::vector<u32> replies(kRequests + 1, 0);
+  std::istringstream lines(out.str());
+  for (std::string line; std::getline(lines, line);) {
+    ASSERT_EQ(line.rfind("id=", 0), 0u) << line;
+    const u64 id = std::stoull(line.substr(3));
+    ASSERT_GE(id, 1u) << line;
+    ASSERT_LE(id, kRequests) << line;
+    ++replies[id];
+  }
+  for (u64 id = 1; id <= kRequests; ++id)
+    EXPECT_EQ(replies[id], 1u) << "id=" << id;
+  remove_store(path);
+}
+
 TEST(Serve, PhaseBreakdownAttributesRequestLatency) {
   Server server(nullptr);
   // The caller-measured queue wait is recorded verbatim into the reply
