@@ -5,8 +5,7 @@
 // measures the two serve-path claims:
 //
 //   * "latency" rows — exact p50/p99/mean request latency for cold
-//     serving (live planner, no store, a fresh server per request in a
-//     freshly forked child, so the process-wide search memo is empty)
+//     serving (live planner, no store, a fresh server per request)
 //     vs warm serving (store hit + mandatory re-verify), one request per
 //     canonical shape so every request pays the full path it is
 //     labelled with.
@@ -17,20 +16,13 @@
 //     back to the live planner.
 //
 // Rows go to stdout AND BENCH_serve.json; schema enforced by
-// tools/check_bench.py. `exp_serve --quick` shrinks the store budget
-// for CI.
-#include <algorithm>
-#include <cerrno>
+// tools/check_bench.py. The full 512-node run takes a few seconds, so CI
+// runs it as is.
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <random>
-#include <stdexcept>
 #include <string>
 #include <vector>
-
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "obs/metrics.hpp"
 #include "rows.hpp"
@@ -86,52 +78,22 @@ std::vector<u64> warm_latencies(const store::PlanStore& st,
 }
 
 /// Cold-path latencies: each canonical shape planned by a fresh server
-/// (planner, plan cache, search provider) in its own forked child, which
-/// sends its latency_us back over a pipe. Call this before anything in
-/// the process searches: a child then starts with an empty process-wide
-/// search memo, so nothing searched for one request — or by the
-/// precompute — answers another. The child first serves the shape once
-/// with no provider (which cannot touch the memo), so its copy-on-write
-/// pages and the library's lazily built tables are in place and the
-/// timed request measures planning and search, not process start-up.
+/// (planner, plan cache, search provider), so no sub-plan of one request
+/// answers another; the search provider keeps no state either. One
+/// untimed 5x5 request first builds the library's static tables (5x5
+/// reads both the paper's and the search tables), so the timed requests
+/// measure planning, not first-use set-up.
 std::vector<u64> cold_latencies(const std::vector<Shape>& shapes) {
-  constexpr u64 kFailed = ~u64{0};
+  const auto provider = [] { return search::make_search_provider(); };
+  (void)store::Server(nullptr, {}, provider).handle(Shape{5, 5});
   std::vector<u64> lat;
   lat.reserve(shapes.size());
   for (const Shape& s : shapes) {
-    int fds[2];
-    if (pipe(fds) != 0) throw std::runtime_error("pipe failed");
-    std::fflush(nullptr);
-    const pid_t pid = fork();
-    if (pid < 0) throw std::runtime_error("fork failed");
-    if (pid == 0) {
-      close(fds[0]);
-      u64 us = kFailed;
-      try {
-        (void)store::Server(nullptr, {}, nullptr).handle(s);
-        const store::Reply rep = store::Server(nullptr, {}, [] {
-                                   return search::make_search_provider();
-                                 }).handle(s);
-        if (rep.ok)
-          us = rep.latency_us;
-        else
-          report_failure(s, rep);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "cold child failed on %s: %s\n",
-                     s.to_string().c_str(), e.what());
-      }
-      const bool sent = write(fds[1], &us, sizeof us) == sizeof us;
-      std::fflush(nullptr);
-      _exit(sent ? 0 : 1);
-    }
-    close(fds[1]);
-    u64 us = kFailed;
-    if (read(fds[0], &us, sizeof us) != sizeof us) us = kFailed;
-    close(fds[0]);
-    int status = 0;
-    while (waitpid(pid, &status, 0) < 0)
-      if (errno != EINTR) throw std::runtime_error("waitpid failed");
-    if (us != kFailed) lat.push_back(us);
+    const store::Reply rep = store::Server(nullptr, {}, provider).handle(s);
+    if (rep.ok)
+      lat.push_back(rep.latency_us);
+    else
+      report_failure(s, rep);
   }
   return lat;
 }
@@ -192,15 +154,12 @@ void run_corruption(const std::string& store_path,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+int main() {
   const bench::RowFile rows("BENCH_serve.json");
 
-  const u64 budget = quick ? 64 : 512;
+  constexpr u64 budget = 512;
   const std::vector<Shape> shapes =
       store::enumerate_canonical_shapes(budget, 3);
-  // Cold first, while no search has run in this process (see
-  // cold_latencies); its per-request servers live and die in children.
   const std::vector<u64> cold = cold_latencies(shapes);
 
   const std::string store_path = "exp_serve_store.hjs";
@@ -218,7 +177,7 @@ int main(int argc, char** argv) {
 
   bench::emit(latency_row("warm", warm_latencies(st, shapes)));
   bench::emit(latency_row("cold", cold));
-  for (const u32 flips : {1u, 8u, quick ? 32u : 256u})
+  for (const u32 flips : {1u, 8u, 256u})
     run_corruption(store_path, shapes, flips, /*seed=*/0x522EULL + flips);
 
   std::remove(store_path.c_str());

@@ -129,6 +129,16 @@ std::optional<u64> parse_count(const char* text, u64 lo, u64 hi) {
   return v;
 }
 
+/// A numeric positional argument, parsed as strictly as the count flags;
+/// anything else is a usage error (exit 2) naming the argument.
+u64 positional(const char* name, const char* text, u64 lo, u64 hi) {
+  const std::optional<u64> v = parse_count(text, lo, hi);
+  require(v.has_value(), "%s expects an integer in [%llu, %llu], got '%s'",
+          name, static_cast<unsigned long long>(lo),
+          static_cast<unsigned long long>(hi), text);
+  return *v;
+}
+
 void print_usage(const char* argv0) {
   std::fprintf(
       stderr,
@@ -228,7 +238,8 @@ PlanResult plan_mesh(const Shape& shape) {
 Shape parse_shape(int argc, char** argv, int from) {
   SmallVec<u64, 4> extents;
   for (int i = from; i < argc; ++i)
-    extents.push_back(std::strtoull(argv[i], nullptr, 10));
+    extents.push_back(
+        positional("axis length", argv[i], 1, std::numeric_limits<u32>::max()));
   require(!extents.empty(), "expected axis lengths");
   return Shape{extents};
 }
@@ -254,7 +265,7 @@ int cmd_torus(int argc, char** argv) {
 
 int cmd_contract(int argc, char** argv) {
   require(argc >= 4, "usage: contract <cube_dim> l1 [l2 ...]");
-  const u32 n = static_cast<u32>(std::atoi(argv[2]));
+  const auto n = static_cast<u32>(positional("cube_dim", argv[2], 0, 63));
   m2o::ContractPlan p = m2o::contract_to_cube(parse_shape(argc, argv, 3), n);
   std::printf("%s\nplan: %s\noptimal load: %llu (achieved %llu)\n",
               summary(p.report, *p.embedding).c_str(), p.plan.c_str(),
@@ -309,8 +320,11 @@ int cmd_precompute(int argc, char** argv) {
   store::PrecomputeOptions opts;
   opts.planner = planner_options();
   opts.batch_size = static_cast<u32>(g_precompute_batch);
-  if (argc >= 4) opts.max_nodes = std::strtoull(argv[3], nullptr, 10);
-  if (argc >= 5) opts.max_rank = static_cast<u32>(std::atoi(argv[4]));
+  if (argc >= 4)
+    opts.max_nodes = positional("max_nodes", argv[3], 1, u64{1} << 26);
+  if (argc >= 5)
+    opts.max_rank =
+        static_cast<u32>(positional("max_rank", argv[4], 1, store::kMaxRank));
   store::PrecomputeResult r;
   try {
     r = store::precompute(argv[2], opts,
@@ -391,7 +405,7 @@ int cmd_flight(int argc, char** argv) {
 
 int cmd_sweep(int argc, char** argv) {
   require(argc >= 3, "usage: sweep <n>");
-  const u32 n = static_cast<u32>(std::atoi(argv[2]));
+  const auto n = static_cast<u32>(positional("n", argv[2], 1, 16));
   const coverage::SweepCounts c = coverage::sweep_3d(n);
   std::printf("coverage sweep, %u threads: all meshes with axes in "
               "[1, 2^%u]\n", par::thread_count(), n);
@@ -506,13 +520,9 @@ int cmd_stats(int argc, char** argv) {
   // the full paper-scale mesh range) but shapes are capped at 2^18 guest
   // nodes so a sample stays seconds, not hours.
   const u64 max_axis =
-      argc >= 3 ? std::strtoull(argv[2], nullptr, 10) : 512;
+      argc >= 3 ? positional("max_axis", argv[2], 2, u64{1} << 20) : 512;
   const u64 samples =
-      argc >= 4 ? std::strtoull(argv[3], nullptr, 10) : 128;
-  require(max_axis >= 2 && max_axis <= (u64{1} << 20),
-          "stats: max_axis must be in [2, 2^20]");
-  require(samples >= 1 && samples <= 100'000,
-          "stats: sample count must be in [1, 100000]");
+      argc >= 4 ? positional("samples", argv[3], 1, 100'000) : 128;
   obs::set_enabled(true);
 
   constexpr u64 kMaxNodes = u64{1} << 18;

@@ -1,148 +1,120 @@
 #include "core/direct.hpp"
 
-#include <algorithm>
-#include <array>
+#include <span>
 
 #include "core/product.hpp"
 #include "core/router.hpp"
-#include "core/verify.hpp"
 
 namespace hj {
 namespace {
 
-#include "core/tables/direct_tables.inc"
-#include "core/tables/open_shapes.inc"
-
+/// A committed node map: `shape` (sorted axis order) into Q_cube_dim,
+/// row-major.
 struct TableEntry {
   Shape shape;
   u32 cube_dim;
-  const CubeNode* data;
-  std::size_t size;
+  std::span<const CubeNode> map;
 };
 
-const std::array<TableEntry, 5>& tables() {
-  static const std::array<TableEntry, 5> t = {{
-      {Shape{3, 5}, 4, kTable3x5, std::size(kTable3x5)},
-      {Shape{7, 9}, 6, kTable7x9, std::size(kTable7x9)},
-      {Shape{11, 11}, 7, kTable11x11, std::size(kTable11x11)},
-      {Shape{3, 3, 3}, 5, kTable3x3x3, std::size(kTable3x3x3)},
-      {Shape{3, 3, 7}, 6, kTable3x3x7, std::size(kTable3x3x7)},
-  }};
+#include "core/tables/open_shapes.inc"
+#include "core/tables/direct_tables.inc"
+
+/// A family of tables, their embeddings built and congestion-routed once.
+class TableSet {
+ public:
+  explicit TableSet(std::span<const TableEntry> tables) {
+    for (const TableEntry& t : tables) {
+      shapes_.push_back(t.shape);
+      auto emb = std::make_shared<ExplicitEmbedding>(
+          Mesh(t.shape), t.cube_dim,
+          std::vector<CubeNode>(t.map.begin(), t.map.end()));
+      route_minimize_congestion(*emb);
+      built_.push_back(std::move(emb));
+    }
+  }
+
+  [[nodiscard]] const std::vector<Shape>& shapes() const { return shapes_; }
+
+  /// The table embedding matching `shape` up to axis permutation and
+  /// length-1 axes, relabelled to `shape`'s axis order.
+  [[nodiscard]] std::optional<EmbeddingPtr> find(const Shape& shape) const {
+    const Shape key = shape.squeezed().sorted();
+    for (std::size_t i = 0; i < shapes_.size(); ++i) {
+      if (!(shapes_[i] == key)) continue;
+      if (shape == key) return built_[i];
+      // Each table axis takes the first free target axis of its length;
+      // the match is total because the table shape is `shape` squeezed
+      // and sorted.
+      SmallVec<u32, 4> axis_of_base;
+      std::vector<bool> taken(shape.dims(), false);
+      for (u32 b = 0; b < key.dims(); ++b) {
+        u32 t = 0;
+        while (taken[t] || shape[t] != key[b]) ++t;
+        taken[t] = true;
+        axis_of_base.push_back(t);
+      }
+      return std::make_shared<RelabelEmbedding>(built_[i], shape,
+                                                std::move(axis_of_base));
+    }
+    return std::nullopt;
+  }
+
+ private:
+  std::vector<Shape> shapes_;
+  std::vector<EmbeddingPtr> built_;
+};
+
+const TableSet& paper_tables() {
+  static const TableSet t(kDirectTables);
   return t;
 }
 
-/// Base embeddings, built and congestion-routed once.
-EmbeddingPtr base_embedding(std::size_t i) {
-  static const std::array<EmbeddingPtr, 5> cache = [] {
-    std::array<EmbeddingPtr, 5> out;
-    for (std::size_t k = 0; k < tables().size(); ++k) {
-      const TableEntry& t = tables()[k];
-      auto emb = std::make_shared<ExplicitEmbedding>(
-          Mesh(t.shape), t.cube_dim,
-          std::vector<CubeNode>(t.data, t.data + t.size));
-      route_minimize_congestion(*emb);
-      out[k] = std::move(emb);
-    }
-    return out;
-  }();
-  return cache[i];
+const TableSet& extra_tables() {
+  static const TableEntry entries[] = {
+      {Shape{15, 17}, 8, kExtra_15_17},
+      {Shape{5, 5, 5}, 7, kExtra_5_5_5},
+  };
+  static const TableSet t(entries);
+  return t;
 }
 
-/// Index of the table matching `shape` up to axis permutation and 1-axes,
-/// or npos.
-std::size_t match_table(const Shape& shape) {
-  const Shape key = shape.squeezed().sorted();
-  for (std::size_t i = 0; i < tables().size(); ++i)
-    if (tables()[i].shape.sorted() == key) return i;
-  return static_cast<std::size_t>(-1);
+const TableSet& search_tables() {
+  static const TableSet t(kSearchTables);
+  return t;
 }
 
 }  // namespace
 
 const std::vector<Shape>& direct_table_shapes() {
-  static const std::vector<Shape> shapes = [] {
-    std::vector<Shape> out;
-    for (const TableEntry& t : tables()) out.push_back(t.shape);
-    return out;
-  }();
-  return shapes;
+  return paper_tables().shapes();
 }
 
 bool has_direct_embedding(const Shape& shape) {
-  return match_table(shape) != static_cast<std::size_t>(-1);
+  return direct_embedding(shape).has_value();
 }
 
 std::optional<EmbeddingPtr> direct_embedding(const Shape& shape) {
-  const std::size_t i = match_table(shape);
-  if (i == static_cast<std::size_t>(-1)) return std::nullopt;
-  EmbeddingPtr base = base_embedding(i);
-  const Shape& sb = base->guest().shape();
-  if (shape == sb) return base;
-
-  // Match each base axis to a distinct target axis of the same length.
-  SmallVec<u32, 4> axis_of_base;
-  std::vector<bool> taken(shape.dims(), false);
-  for (u32 b = 0; b < sb.dims(); ++b) {
-    bool matched = false;
-    for (u32 t = 0; t < shape.dims() && !matched; ++t) {
-      if (!taken[t] && shape[t] == sb[b]) {
-        taken[t] = true;
-        axis_of_base.push_back(t);
-        matched = true;
-      }
-    }
-    if (!matched) return std::nullopt;  // unreachable given match_table
-  }
-  return std::make_shared<RelabelEmbedding>(std::move(base), shape,
-                                            std::move(axis_of_base));
+  return paper_tables().find(shape);
 }
-
-namespace {
-
-const std::array<TableEntry, 2>& extra_tables() {
-  static const std::array<TableEntry, 2> t = {{
-      {Shape{15, 17}, 8, kExtra_15_17, std::size(kExtra_15_17)},
-      {Shape{5, 5, 5}, 7, kExtra_5_5_5, std::size(kExtra_5_5_5)},
-  }};
-  return t;
-}
-
-}  // namespace
 
 const std::vector<Shape>& extra_table_shapes() {
-  static const std::vector<Shape> shapes = [] {
-    std::vector<Shape> out;
-    for (const TableEntry& t : extra_tables()) out.push_back(t.shape);
-    return out;
-  }();
-  return shapes;
+  return extra_tables().shapes();
 }
 
 std::optional<EmbeddingPtr> extra_embedding(const Shape& shape) {
-  const Shape key = shape.squeezed().sorted();
-  for (const TableEntry& t : extra_tables()) {
-    if (!(t.shape.sorted() == key)) continue;
-    auto emb = std::make_shared<ExplicitEmbedding>(
-        Mesh(t.shape), t.cube_dim,
-        std::vector<CubeNode>(t.data, t.data + t.size));
-    route_minimize_congestion(*emb);
-    if (shape == t.shape) return EmbeddingPtr(emb);
-    SmallVec<u32, 4> axis_of_base;
-    std::vector<bool> taken(shape.dims(), false);
-    for (u32 b = 0; b < t.shape.dims(); ++b) {
-      for (u32 a = 0; a < shape.dims(); ++a) {
-        if (!taken[a] && shape[a] == t.shape[b]) {
-          taken[a] = true;
-          axis_of_base.push_back(a);
-          break;
-        }
-      }
-    }
-    if (axis_of_base.size() != t.shape.dims()) return std::nullopt;
-    return EmbeddingPtr(std::make_shared<RelabelEmbedding>(
-        std::move(emb), shape, std::move(axis_of_base)));
-  }
-  return std::nullopt;
+  return extra_tables().find(shape);
+}
+
+const std::vector<Shape>& search_table_shapes() {
+  return search_tables().shapes();
+}
+
+std::optional<std::vector<CubeNode>> search_table_map(const Shape& shape) {
+  const std::optional<EmbeddingPtr> emb = search_tables().find(shape);
+  if (!emb) return std::nullopt;
+  std::vector<CubeNode> map;
+  (*emb)->map_all(map);
+  return map;
 }
 
 }  // namespace hj

@@ -30,6 +30,10 @@ SmallVec<u64, 16> divisors(u64 n) {
 
 u64 product_of(const Shape& s) { return s.num_nodes(); }
 
+/// Top-level plans try axis extensions (strategy 3 of Section 4.2); the
+/// factor and extension sub-plans they build do not.
+constexpr bool kExtendTopLevel = true;
+
 cost::CostVector cost_of(const PlanCacheEntry& e) {
   return cost::CostVector{e.cube, e.dil, e.cong, e.wl};
 }
@@ -180,9 +184,11 @@ Planner::Entry Planner::best(const Shape& shape, bool may_extend) {
   Entry incumbent = gray_entry(shape);
   measure(incumbent);
 
+  // The paper's order (Section 4.2, methods 1-4): Gray code, a direct
+  // table, decomposition; a search only for base meshes nothing else
+  // reaches; then axis extensions.
   const u32 minimal = shape.minimal_cube_dim();
   if (incumbent.cube > minimal) {
-    // Direct table.
     if (auto d = direct_embedding(shape)) {
       Entry e;
       e.emb = *d;
@@ -191,28 +197,9 @@ Planner::Entry Planner::best(const Shape& shape, bool may_extend) {
       e.dil = 2;
       consider(incumbent, std::move(e));
     }
-    // Search provider.
-    if (incumbent.cube > minimal && provider_ &&
-        shape.num_nodes() <= opts_.provider_max_nodes) {
-      if (auto m = provider_(Mesh(shape), minimal)) {
-        auto emb =
-            std::make_shared<ExplicitEmbedding>(Mesh(shape), minimal, *m);
-        // Non-dilation objectives get the balanced router's seeded
-        // dimension-order race; the default keeps the historical paths.
-        if (cost::needs_measurement(opts_.objective))
-          route_balanced(*emb);
-        else
-          route_minimize_congestion(*emb);
-        Entry e;
-        e.emb = std::move(emb);
-        e.desc = "search " + shape.to_string();
-        e.cube = minimal;
-        e.dil = 2;
-        consider(incumbent, std::move(e));
-      }
-    }
     if (incumbent.cube > minimal) try_factorizations(shape, incumbent);
-    if (incumbent.cube > minimal && may_extend && opts_.allow_extension) {
+    if (incumbent.cube > minimal) try_search(shape, incumbent);
+    if (incumbent.cube > minimal && may_extend) {
       try_pattern_extension(shape, incumbent);
       if (incumbent.cube > minimal) try_extensions(shape, incumbent);
     }
@@ -220,6 +207,30 @@ Planner::Entry Planner::best(const Shape& shape, bool may_extend) {
 
   cache().put(key, incumbent);
   return incumbent;
+}
+
+void Planner::try_search(const Shape& shape, Entry& incumbent) {
+  if (!provider_ || shape.num_nodes() > kProviderMaxNodes) return;
+  // The committed search tables answer every question the canonical
+  // shapes of up to 512 nodes raise; the live provider only sees misses.
+  const u32 minimal = shape.minimal_cube_dim();
+  std::optional<std::vector<CubeNode>> m = search_table_map(shape);
+  if (!m) m = provider_(Mesh(shape), minimal);
+  if (!m) return;
+  auto emb = std::make_shared<ExplicitEmbedding>(Mesh(shape), minimal,
+                                                 std::move(*m));
+  // Non-dilation objectives get the balanced router's seeded
+  // dimension-order race; the default keeps the historical paths.
+  if (cost::needs_measurement(opts_.objective))
+    route_balanced(*emb);
+  else
+    route_minimize_congestion(*emb);
+  Entry e;
+  e.emb = std::move(emb);
+  e.desc = "search " + shape.to_string();
+  e.cube = minimal;
+  e.dil = 2;
+  consider(incumbent, std::move(e));
 }
 
 void Planner::try_factorizations(const Shape& shape, Entry& incumbent) {
@@ -350,7 +361,7 @@ PlanResult Planner::plan(const Shape& shape) {
                 cost::objective_name(opts_.objective))
         .add();
   }
-  Entry e = best(shape, opts_.allow_extension);
+  Entry e = best(shape, kExtendTopLevel);
   PlanResult out;
   out.embedding = e.emb;
   out.report = verify(*e.emb);
@@ -402,7 +413,7 @@ PlanResult Planner::plan_avoiding(const Shape& shape, const FaultSet& faults) {
   // returned directly and never written back. The base plan is never
   // returned, so it is not verified: each returned plan carries exactly
   // one certificate, its verify(emb, faults).
-  const Entry base = best(shape, opts_.allow_extension);
+  const Entry base = best(shape, kExtendTopLevel);
   const std::string base_plan = plan_string(base);
 
   const u32 n = base.emb->host_dim();
@@ -501,7 +512,7 @@ PlanResult Planner::plan_avoiding(const Shape& shape, const FaultSet& faults) {
 }
 
 bool Planner::achieves_minimal_dil2(const Shape& shape) {
-  Entry e = best(shape, opts_.allow_extension);
+  Entry e = best(shape, kExtendTopLevel);
   return e.cube == shape.minimal_cube_dim() && e.dil <= 2;
 }
 
@@ -558,7 +569,7 @@ std::vector<PlanResult> plan_batch(const std::vector<Shape>& shapes,
     for (std::size_t i = 0; i < shapes.size(); ++i) {
       Shape canon = shapes[i].sorted();
       const auto [it, fresh] = slot.try_emplace(
-          PlanKey::of(canon, opts.allow_extension, opts.objective),
+          PlanKey::of(canon, kExtendTopLevel, opts.objective),
           uniq.size());
       if (fresh) uniq.push_back(std::move(canon));
       canon_of[i] = it->second;

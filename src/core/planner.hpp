@@ -5,11 +5,14 @@
 // certify from the library's building blocks:
 //
 //   1. Gray code when the axis roundings already reach the minimal cube.
-//   2. A direct table (3x5, 7x9, 11x11, 3x3x3, 3x3x7, plus any shapes an
-//      attached search provider can solve).
+//   2. A direct table (3x5, 7x9, 11x11, 3x3x3, 3x3x7).
 //   3. Graph decomposition: factor every axis and combine factor plans
 //      with Corollary 2 (this is the paper's contribution).
-//   4. Axis extension: embed the mesh as a submesh of a slightly larger,
+//   4. Search, only with a provider attached and only for base meshes of
+//      at most kProviderMaxNodes nodes that steps 1-3 leave short of the
+//      minimal cube: the committed search tables (core/direct.hpp), and
+//      the provider itself only when no table covers the mesh.
+//   5. Axis extension: embed the mesh as a submesh of a slightly larger,
 //      better-factorable mesh (e.g. 3x3x23 inside 3x3x25), including the
 //      multi-axis extension to 3*2^a / 7*2^a patterns behind Figure 2's
 //      method 3.
@@ -55,11 +58,11 @@ struct DegradedPlan {
 using DegradeProvider = std::function<std::optional<DegradedPlan>(
     const Shape&, u32, const FaultSet&)>;
 
+/// Guests at most this large are offered to the search: the committed
+/// search tables, then the attached provider.
+inline constexpr u64 kProviderMaxNodes = 150;
+
 struct PlannerOptions {
-  /// Try axis extensions (strategy 3 of Section 4.2).
-  bool allow_extension = true;
-  /// Guests at most this large are offered to the direct provider.
-  u64 provider_max_nodes = 150;
   /// Ranking order for candidate plans. The Lexicographic default is the
   /// historical (cube, dilation) first-wins order and reproduces the
   /// pre-cost-model planner bit-for-bit; any other objective measures
@@ -224,6 +227,9 @@ class Planner {
   /// " [obj=...]" gap suffix under a non-default objective.
   [[nodiscard]] std::string plan_string(const Entry& e) const;
   void try_factorizations(const Shape& shape, Entry& incumbent);
+  /// A search leaf for a base mesh: the committed search table, else the
+  /// provider; only with a provider attached.
+  void try_search(const Shape& shape, Entry& incumbent);
   void try_extensions(const Shape& shape, Entry& incumbent);
   void try_pattern_extension(const Shape& shape, Entry& incumbent);
 

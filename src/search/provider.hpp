@@ -7,14 +7,11 @@
 namespace hj::search {
 
 /// A DirectProvider that runs bounded backtracking and, when inconclusive,
-/// a short annealing pass. Deterministic for a fixed budget and seed, so
-/// every answer — a map or "none found" — is memoized for the whole
-/// process, keyed by everything the search reads (these parameters, the
-/// guest's extents and per-axis wrap flags, host_dim): a repeated
-/// question, from this provider or any other made with the same
-/// parameters, returns the stored answer without searching again. The
-/// planner and the torus mapper only ask about guests of at most
-/// PlannerOptions::provider_max_nodes nodes, which keeps the memo small.
+/// a short annealing pass. Deterministic for a fixed budget and seed; it
+/// keeps no state, so every call searches. The planner asks it only on a
+/// miss of the committed search tables (core/direct.hpp), and the planner
+/// and the torus mapper only about guests of at most kProviderMaxNodes
+/// nodes.
 [[nodiscard]] DirectProvider make_search_provider(
     u64 backtrack_budget = 20'000'000, u64 anneal_iterations = 0,
     u32 max_dilation = 2);

@@ -69,8 +69,8 @@ Server::Server(const PlanStore* store, ServeOptions opts,
 
 PlanCacheEntry Server::canonical_plan(const Shape& canon, Verdict& verdict,
                                       PhaseUs& ph) {
-  const PlanKey cache_key = PlanKey::of(canon, opts_.planner.allow_extension,
-                                        opts_.planner.objective);
+  const PlanKey cache_key =
+      PlanKey::of(canon, /*extend=*/true, opts_.planner.objective);
   const Clock::time_point t = Clock::now();
   std::optional<PlanCacheEntry> cached = certified_.get(cache_key);
   ph.lookup_us += elapsed_us(t);

@@ -288,8 +288,7 @@ CubePath TorusEmbedding::edge_path(const MeshEdge& e) const {
 
 // ---------------------------------------------------------------------------
 
-TorusPlanner::TorusPlanner(PlannerOptions opts)
-    : opts_(opts), mesh_planner_(opts) {}
+TorusPlanner::TorusPlanner(PlannerOptions opts) : mesh_planner_(opts) {}
 
 void TorusPlanner::set_direct_provider(DirectProvider provider) {
   provider_ = provider;
@@ -369,7 +368,7 @@ PlanResult TorusPlanner::plan(const Mesh& guest) {
   // the mesh planner's search leaf.
   const u32 minimal = s.minimal_cube_dim();
   const bool want_search =
-      provider_ && guest.num_nodes() <= opts_.provider_max_nodes &&
+      provider_ && guest.num_nodes() <= kProviderMaxNodes &&
       (out.report.host_dim > minimal ||
        (out.report.dilation > 2 && guest.num_nodes() > 2));
   if (want_search) {

@@ -113,7 +113,6 @@ class TorusPlanner {
   [[nodiscard]] bool achieves_minimal(const Shape& shape, u32 max_dil);
 
  private:
-  PlannerOptions opts_;
   DirectProvider provider_;
   Planner mesh_planner_;
 };

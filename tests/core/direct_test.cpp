@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/product.hpp"
 #include "core/verify.hpp"
 
@@ -83,6 +85,42 @@ TEST(DirectTables, ProductWithGrayMatchesCorollary2) {
   EXPECT_TRUE(r.minimal_expansion);  // 945 nodes in Q10
   EXPECT_LE(r.dilation, 2u);
   EXPECT_LE(r.congestion, 2u);
+}
+
+TEST(ExtraTables, CachedInstancesAreShared) {
+  auto a = extra_embedding(Shape{5, 5, 5});
+  auto b = extra_embedding(Shape{5, 5, 5});
+  ASSERT_TRUE(a && b);
+  EXPECT_EQ(a->get(), b->get());
+  EXPECT_FALSE(extra_embedding(Shape{3, 5}).has_value());
+}
+
+TEST(SearchTables, EveryAxisOrderIsAMinimalDilationTwoMap) {
+  // Each table answers its shape in any axis order, with or without
+  // interspersed length-1 axes, as a node map of the requested order.
+  ASSERT_EQ(search_table_shapes().size(), 20u);
+  for (const Shape& s : search_table_shapes()) {
+    SmallVec<u64, 4> ext = s.extents();
+    std::reverse(ext.begin(), ext.end());
+    ext.push_back(1);
+    for (const Shape& target : {s, Shape{ext}}) {
+      SCOPED_TRACE(target.to_string());
+      const auto map = search_table_map(target);
+      ASSERT_TRUE(map.has_value());
+      const ExplicitEmbedding emb(Mesh(target), s.minimal_cube_dim(), *map);
+      const VerifyReport r = verify(emb);
+      EXPECT_TRUE(r.valid) << (r.errors.empty() ? "" : r.errors[0]);
+      EXPECT_TRUE(r.minimal_expansion);
+      EXPECT_EQ(r.dilation, 2u);
+    }
+  }
+}
+
+TEST(SearchTables, OnlyTheirShapesMatch) {
+  EXPECT_FALSE(search_table_map(Shape{3, 5}).has_value());   // a paper table
+  EXPECT_FALSE(search_table_map(Shape{3, 27}).has_value());  // 3x9 * 1x3
+  EXPECT_FALSE(search_table_map(Shape{5, 5, 2}).has_value());
+  EXPECT_TRUE(search_table_map(Shape{1, 5, 1, 5}).has_value());
 }
 
 }  // namespace

@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "search/provider.hpp"
+#include "store/precompute.hpp"
 
 namespace hj {
 namespace {
@@ -15,6 +19,44 @@ Planner make_planner(bool with_search = true) {
   Planner p;
   if (with_search) p.set_direct_provider(search::make_search_provider());
   return p;
+}
+
+TEST(PlannerGate, CanonicalShapesKeepCubeAndDilationWithoutLiveSearch) {
+  // Decomposition comes before search, and the committed search tables
+  // answer every base mesh left over: each canonical mesh keeps the
+  // (cube, dilation) recorded when the planner searched first, and the
+  // live provider is never asked.
+  std::ifstream in(HJ_GATE_FILE);
+  ASSERT_TRUE(in) << HJ_GATE_FILE;
+  // The gate file lists these in order: rank 1, then 2, then 3, each
+  // lexicographic in sorted extents.
+  const std::vector<Shape> shapes = store::enumerate_canonical_shapes(512, 3);
+  ASSERT_EQ(shapes.size(), 4672u);
+
+  const DirectProvider search = search::make_search_provider();
+  u64 live_calls = 0;
+  Planner p;
+  p.set_direct_provider([&](const Mesh& guest, u32 host_dim) {
+    ++live_calls;
+    return search(guest, host_dim);
+  });
+  std::size_t i = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream row(line);
+    std::string shape;
+    u32 cube = 0, dil = 0;
+    ASSERT_TRUE(row >> shape >> cube >> dil) << line;
+    ASSERT_LT(i, shapes.size()) << "extra row " << line;
+    const Shape& s = shapes[i++];
+    ASSERT_EQ(shape, s.to_string());
+    const PlanResult r = p.plan(s);
+    EXPECT_TRUE(r.report.valid) << shape;
+    EXPECT_EQ(r.report.host_dim, cube) << shape << ": " << r.plan;
+    EXPECT_EQ(r.report.dilation, dil) << shape << ": " << r.plan;
+  }
+  EXPECT_EQ(i, shapes.size());
+  EXPECT_EQ(live_calls, 0u);
 }
 
 TEST(Planner, GrayWhenAlreadyMinimal) {

@@ -9,8 +9,8 @@
 # tsan: ThreadSanitizer (HJ_SANITIZE_THREAD), runs the concurrency-heavy
 #   suites (recovery controller + live runs sharing caches with
 #   verify_batch, the parallel engine tests, the plan-serve daemon's
-#   bounded queue + reader/worker threads, and the search provider's
-#   process-wide memo) at HJ_THREADS=4.
+#   bounded queue + reader/worker threads, and concurrent callers of one
+#   search provider) at HJ_THREADS=4.
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
