@@ -222,17 +222,40 @@ PlannerOptions planner_options() {
   return opts;
 }
 
+/// Every --faults address and every --fault-schedule arrival must lie in
+/// the planned host cube Q_n: a fault outside it is a usage error (exit
+/// 2), never a silently ignored one.
+void require_faults_in_host(u32 n) {
+  const Hypercube host(n);
+  const auto check = [&](const char* source, CubeNode v) {
+    require(host.contains(v), "%s names node %llu, outside the host cube Q%u",
+            source, static_cast<unsigned long long>(v), n);
+  };
+  for (const CubeNode v : g_faults.permanent().failed_nodes())
+    check("--faults", v);
+  for (const u64 key : g_faults.permanent().failed_link_keys())
+    check("--faults", (key >> 6) | (u64{1} << (key & 63)));  // higher end
+  for (const sim::FaultEvent& e : g_schedule.events()) {
+    check("--fault-schedule", e.a);
+    if (!e.is_node) check("--fault-schedule", e.b);
+  }
+}
+
 PlanResult plan_mesh(const Shape& shape) {
+  PlanResult r;
   if (g_have_faults && !g_faults.permanent().empty()) {
     Planner planner(planner_options());
     planner.set_direct_provider(search::make_search_provider());
     planner.set_degrade_provider(m2o::make_degrade_provider());
-    return planner.plan_avoiding(shape, g_faults.permanent());
+    r = planner.plan_avoiding(shape, g_faults.permanent());
+  } else {
+    // Healthy planning goes through the batch engine (canonical-shape
+    // dedup + shared factor cache), honouring --threads / HJ_THREADS.
+    r = plan_batch({shape}, planner_options(),
+                   [] { return search::make_search_provider(); })[0];
   }
-  // Healthy planning goes through the batch engine (canonical-shape
-  // dedup + shared factor cache), honouring --threads / HJ_THREADS.
-  return plan_batch({shape}, planner_options(),
-                    [] { return search::make_search_provider(); })[0];
+  require_faults_in_host(r.embedding->host_dim());
+  return r;
 }
 
 Shape parse_shape(int argc, char** argv, int from) {

@@ -10,13 +10,22 @@
 // on top of this structural set.
 #pragma once
 
-#include <unordered_set>
+#include <algorithm>
+#include <set>
+#include <vector>
 
+#include "core/bitword.hpp"
 #include "core/hypercube.hpp"
 
 namespace hj {
 
 /// Permanently failed cube nodes and (undirected) cube links.
+///
+/// Membership is a bitmap lookup: nodes below 2^kDenseNodeDimLimit are
+/// bits indexed by address, links whose lower endpoint lies below
+/// 2^kDenseLinkDimLimit are bits indexed by Hypercube::edge_key. Keys
+/// above those ranges (a fault spec may name any u64) live in an ordered
+/// set instead; every key has exactly one home.
 class FaultSet {
  public:
   FaultSet() = default;
@@ -46,14 +55,14 @@ class FaultSet {
   }
 
   [[nodiscard]] bool node_failed(CubeNode v) const {
-    return nodes_.count(v) != 0;
+    return nodes_.contains(v);
   }
 
   /// True iff the (undirected) link between adjacent nodes is failed, or
   /// either endpoint node is failed (a dead node kills its links).
   [[nodiscard]] bool link_failed(CubeNode a, CubeNode b) const {
     return node_failed(a) || node_failed(b) ||
-           links_.count(Hypercube::edge_key(a, b)) != 0;
+           links_.contains(Hypercube::edge_key(a, b));
   }
 
   /// True iff every node and every hop of `path` is healthy.
@@ -68,7 +77,7 @@ class FaultSet {
   }
 
   [[nodiscard]] bool empty() const noexcept {
-    return nodes_.empty() && links_.empty();
+    return nodes_.size() == 0 && links_.size() == 0;
   }
   [[nodiscard]] std::size_t num_failed_nodes() const noexcept {
     return nodes_.size();
@@ -76,19 +85,63 @@ class FaultSet {
   [[nodiscard]] std::size_t num_failed_links() const noexcept {
     return links_.size();
   }
-  [[nodiscard]] const std::unordered_set<CubeNode>& failed_nodes()
-      const noexcept {
-    return nodes_;
+  /// Failed node addresses, ascending.
+  [[nodiscard]] std::vector<CubeNode> failed_nodes() const {
+    return nodes_.keys();
   }
-  /// Failed links as Hypercube::edge_key values (lo << 6 | flipped bit).
-  [[nodiscard]] const std::unordered_set<u64>& failed_link_keys()
-      const noexcept {
-    return links_;
+  /// Failed links as Hypercube::edge_key values (lo << 6 | flipped bit),
+  /// ascending.
+  [[nodiscard]] std::vector<u64> failed_link_keys() const {
+    return links_.keys();
   }
 
  private:
-  std::unordered_set<CubeNode> nodes_;
-  std::unordered_set<u64> links_;  // Hypercube::edge_key
+  /// One key range: keys below `Limit` are bits of a bitmap that grows
+  /// (doubling) to cover the largest one, larger keys an ordered set.
+  template <u64 Limit>
+  class KeySet {
+   public:
+    void insert(u64 key) {
+      if (key >= Limit) {
+        sparse_.insert(key);
+        return;
+      }
+      if (key >= bits_.size())
+        bits_.resize(std::min(Limit, std::max(key + 1, 2 * bits_.size())));
+      if (!bits_.test_and_set(key)) ++dense_;
+    }
+    void erase(u64 key) {
+      if (key >= Limit) {
+        sparse_.erase(key);
+      } else if (contains(key)) {
+        bits_.clear(key);
+        --dense_;
+      }
+    }
+    [[nodiscard]] bool contains(u64 key) const {
+      if (key >= Limit) return sparse_.count(key) != 0;
+      return key < bits_.size() && bits_.test(key);
+    }
+    [[nodiscard]] std::size_t size() const noexcept {
+      return dense_ + sparse_.size();
+    }
+    /// Every key, ascending.
+    [[nodiscard]] std::vector<u64> keys() const {
+      std::vector<u64> out;
+      bits_.for_each_set([&](u64 key) { out.push_back(key); });
+      out.insert(out.end(), sparse_.begin(), sparse_.end());
+      return out;
+    }
+
+   private:
+    BitwordSet bits_;
+    std::size_t dense_ = 0;  // set bits
+    std::set<u64> sparse_;
+  };
+
+  KeySet<u64{1} << Hypercube::kDenseNodeDimLimit> nodes_;
+  // edge_key(a, b) is below this limit iff min(a, b) < 2^kDenseLinkDimLimit.
+  KeySet<u64{1} << (Hypercube::kDenseLinkDimLimit + 6)> links_;
 };
 
 }  // namespace hj

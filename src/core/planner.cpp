@@ -433,8 +433,9 @@ PlanResult Planner::plan_avoiding(const Shape& shape, const FaultSet& faults) {
   // is a reflection across that cube dimension). The map avoids every
   // failed node iff f ^ t is an unused address for each failed node f, so
   // candidates are screened in O(#faults) before any routing work.
+  const std::vector<CubeNode> failed = faults.failed_nodes();
   const auto dodges_failed_nodes = [&](u64 t) {
-    for (CubeNode f : faults.failed_nodes())
+    for (CubeNode f : failed)
       if ((f ^ t) < cube && used.test(f ^ t)) return false;
     return true;
   };

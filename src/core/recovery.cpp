@@ -41,17 +41,37 @@ class RungObs {
 
 /// Materialize any embedding as a freely mutable ExplicitEmbedding: the
 /// node map plus every edge path that is not the default e-cube route.
+/// Edges are walked node-major (source node, then axis) — the order of
+/// ExplicitEmbedding's path keys — so every override appends.
 std::shared_ptr<ExplicitEmbedding> materialize(const Embedding& emb) {
   std::vector<CubeNode> map;
   emb.map_all(map);
   auto out = std::make_shared<ExplicitEmbedding>(emb.guest(), emb.host_dim(),
                                                  std::move(map));
   const std::vector<CubeNode>& nm = out->node_map();
-  emb.guest().for_each_edge([&](const MeshEdge& e) {
-    CubePath p = emb.edge_path(e);
-    if (p != Hypercube::ecube_path(nm[e.a], nm[e.b]))
-      out->set_edge_path(e, std::move(p));
-  });
+  const Mesh& g = emb.guest();
+  const Shape& s = g.shape();
+  const u32 k = s.dims();
+  Coord c(k, 0);
+  for (MeshIndex a = 0; a < s.num_nodes(); ++a) {
+    for (u32 axis = 0; axis < k; ++axis) {
+      // The edge keyed (a, axis), as Mesh::for_each_edge orients it.
+      const u64 l = s[axis];
+      const u64 stride = s.stride(axis);
+      MeshEdge e{a, a + stride, axis, false};
+      if (c[axis] + 1 == l) {
+        if (!g.wraps(axis) || l <= 2) continue;
+        e = MeshEdge{a, a - (l - 1) * stride, axis, true};
+      }
+      CubePath p = emb.edge_path(e);
+      if (p != Hypercube::ecube_path(nm[e.a], nm[e.b]))
+        out->set_edge_path(e, std::move(p));
+    }
+    for (u32 j = k; j-- > 0;) {
+      if (++c[j] < s[j]) break;
+      c[j] = 0;
+    }
+  }
   return out;
 }
 
@@ -93,14 +113,15 @@ u64 healthy_hosts(const FaultSet& faults, u32 n) {
 }
 
 u64 count_moves(const Embedding& from, const Embedding& to, u64& cost) {
+  std::vector<CubeNode> a, b;
+  from.map_all(a);
+  to.map_all(b);
   u64 moved = 0;
   cost = 0;
-  for (MeshIndex i = 0; i < from.guest().num_nodes(); ++i) {
-    const CubeNode a = from.map(i);
-    const CubeNode b = to.map(i);
-    if (a == b) continue;
+  for (MeshIndex i = 0; i < a.size(); ++i) {
+    if (a[i] == b[i]) continue;
     ++moved;
-    cost += hamming(a, b);
+    cost += hamming(a[i], b[i]);
   }
   return moved;
 }
@@ -193,11 +214,11 @@ RepairResult RecoveryController::try_migrate(const Embedding& current,
   const u32 n = current.host_dim();
   const u64 nodes = current.guest().num_nodes();
 
-  std::vector<CubeNode> node_map(nodes);
+  std::vector<CubeNode> node_map;
+  current.map_all(node_map);
   std::unordered_set<CubeNode> used;
   std::vector<MeshIndex> displaced;
   for (MeshIndex i = 0; i < nodes; ++i) {
-    node_map[i] = current.map(i);
     used.insert(node_map[i]);
     if (faults.node_failed(node_map[i])) displaced.push_back(i);
   }

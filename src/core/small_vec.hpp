@@ -93,7 +93,7 @@ class SmallVec {
   const T& back() const noexcept { return (*this)[size_ - 1]; }
 
   void push_back(const T& v) {
-    if (size_ == capacity_) grow(capacity_ * 2);
+    if (size_ == capacity_) grow(size_ + 1);
     data_[size_++] = v;
   }
 
@@ -116,7 +116,7 @@ class SmallVec {
   }
 
   void reserve(std::size_t n) {
-    if (n > capacity_) grow(std::max(n, capacity_ * 2));
+    if (n > capacity_) grow(n);
   }
 
   void reverse() noexcept { std::reverse(begin(), end()); }
@@ -126,7 +126,12 @@ class SmallVec {
   }
 
  private:
-  void grow(std::size_t new_cap) {
+  /// Move to a heap buffer of at least `min_cap` (> size_) elements,
+  /// doubling the capacity at least. Sizing from the request rather than
+  /// from capacity_ alone keeps the buffer provably larger than the
+  /// elements copied into it.
+  void grow(std::size_t min_cap) {
+    const std::size_t new_cap = std::max(min_cap, capacity_ * 2);
     T* fresh = new T[new_cap];
     std::copy(data_, data_ + size_, fresh);
     if (on_heap()) delete[] data_;

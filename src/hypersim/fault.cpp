@@ -1,20 +1,29 @@
 #include "hypersim/fault.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 namespace hj::sim {
 namespace {
 
-u64 parse_u64(const std::string& s) {
-  char* end = nullptr;
-  const u64 v = std::strtoull(s.c_str(), &end, 10);
-  require(end != s.c_str() && *end == '\0',
-          "parse_fault_spec: '%s' is not a number", s.c_str());
+/// Parse all of `s` strictly: no sign, space or suffix, no overflow.
+template <class T>
+std::optional<T> parse_exact(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
   return v;
+}
+
+u64 parse_u64(const std::string& s) {
+  const std::optional<u64> v = parse_exact<u64>(s);
+  require(v.has_value(), "parse_fault_spec: '%s' is not a number", s.c_str());
+  return *v;
 }
 
 }  // namespace
@@ -45,10 +54,10 @@ FaultModel parse_fault_spec(const std::string& spec) {
       model.permanent().fail_link(parse_u64(val.substr(0, dash)),
                                   parse_u64(val.substr(dash + 1)));
     } else if (key == "p") {
-      char* end = nullptr;
-      p = std::strtod(val.c_str(), &end);
-      require(end != val.c_str() && *end == '\0',
-              "parse_fault_spec: '%s' is not a probability", val.c_str());
+      const std::optional<double> v = parse_exact<double>(val);
+      require(v.has_value(), "parse_fault_spec: '%s' is not a probability",
+              val.c_str());
+      p = *v;
       transient = true;
     } else if (key == "seed") {
       seed = parse_u64(val);
@@ -166,9 +175,8 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
     std::istringstream ls(line);
     std::string first;
     if (!(ls >> first) || first[0] == '#') continue;  // blank or comment
-    char* end = nullptr;
-    const u64 cycle = std::strtoull(first.c_str(), &end, 10);
-    require(end != first.c_str() && *end == '\0',
+    const std::optional<u64> cycle = parse_exact<u64>(first);
+    require(cycle.has_value(),
             "fault schedule line %llu: '%s' is not a cycle number",
             static_cast<unsigned long long>(lineno), first.c_str());
     std::string kind;
@@ -176,23 +184,30 @@ FaultSchedule FaultSchedule::parse(const std::string& text) {
             "fault schedule line %llu: expected 'node <v>' or 'link <a> <b>' "
             "after the cycle",
             static_cast<unsigned long long>(lineno));
-    u64 a = 0, b = 0;
+    // Addresses parse as strictly as the cycle (a sign is an error, not a
+    // wrapped u64).
+    const auto address = [&](const char* want) {
+      std::string tok;
+      require(static_cast<bool>(ls >> tok), "fault schedule line %llu: %s",
+              static_cast<unsigned long long>(lineno), want);
+      const std::optional<u64> v = parse_exact<u64>(tok);
+      require(v.has_value(),
+              "fault schedule line %llu: '%s' is not a node address",
+              static_cast<unsigned long long>(lineno), tok.c_str());
+      return *v;
+    };
     if (kind == "node") {
-      require(static_cast<bool>(ls >> a),
-              "fault schedule line %llu: 'node' wants one address",
-              static_cast<unsigned long long>(lineno));
-      out.add_node_failure(cycle, a);
+      out.add_node_failure(*cycle, address("'node' wants one address"));
     } else if (kind == "link") {
-      require(static_cast<bool>(ls >> a >> b),
-              "fault schedule line %llu: 'link' wants two addresses",
-              static_cast<unsigned long long>(lineno));
+      const u64 a = address("'link' wants two addresses");
+      const u64 b = address("'link' wants two addresses");
       require(Hypercube::adjacent(a, b),
               "fault schedule line %llu: %llu-%llu is not a cube link "
               "(addresses must differ in exactly one bit)",
               static_cast<unsigned long long>(lineno),
               static_cast<unsigned long long>(a),
               static_cast<unsigned long long>(b));
-      out.add_link_failure(cycle, a, b);
+      out.add_link_failure(*cycle, a, b);
     } else {
       require(false,
               "fault schedule line %llu: unknown kind '%s' (want node|link)",

@@ -6,15 +6,6 @@
 #include "obs/obs.hpp"
 
 namespace hj::sim {
-namespace {
-
-/// Directed logical message: retransmitted across epochs until delivered.
-struct LogicalMessage {
-  MeshIndex from = 0;
-  MeshIndex to = 0;
-};
-
-}  // namespace
 
 const char* verdict_name(Verdict v) noexcept {
   switch (v) {
@@ -45,14 +36,12 @@ LiveRunResult run_stencil_with_recovery(EmbeddingPtr base,
   recovery::RecoveryController controller(base->guest().shape(),
                                           opts.recovery);
 
-  // Logical traffic: every guest edge, both directions.
-  std::vector<LogicalMessage> traffic;
-  base->guest().for_each_edge([&](const MeshEdge& e) {
-    traffic.push_back(LogicalMessage{e.a, e.b});
-    traffic.push_back(LogicalMessage{e.b, e.a});
-  });
-  result.messages = traffic.size();
-  std::vector<u8> delivered(traffic.size(), 0);
+  // Logical traffic, retransmitted across epochs until delivered: every
+  // guest edge in for_each_edge order, both directions — message 2k runs
+  // e.a -> e.b along edge k's path, message 2k+1 runs it reversed.
+  const Mesh& guest = base->guest();
+  result.messages = 2 * guest.num_edges();
+  std::vector<u8> delivered(result.messages, 0);
 
   // Cumulative known faults live in a copy of the caller's fault model,
   // so the transient layer (if any) keeps operating across epochs.
@@ -74,20 +63,34 @@ LiveRunResult run_stencil_with_recovery(EmbeddingPtr base,
     const Embedding& emb = *result.embedding;
     cfg.cube_dim = emb.host_dim();
     CubeNetwork net(cfg);
-    // Queue this epoch's retransmissions on the current embedding.
+    // Queue this epoch's retransmissions on the current embedding, in
+    // message order; each undelivered edge's path is derived once.
     // Contracted (same-processor) routes deliver without the network.
-    std::vector<std::size_t> queued;  // sim message id -> traffic index
-    for (std::size_t i = 0; i < traffic.size(); ++i) {
-      if (delivered[i]) continue;
-      CubePath route = neighbor_route(emb, traffic[i].from, traffic[i].to);
+    std::vector<std::size_t> queued;  // sim message id -> message index
+    std::size_t i = 0;
+    guest.for_each_edge([&](const MeshEdge& e) {
+      const std::size_t fwd = i, rev = i + 1;
+      i += 2;
+      if (delivered[fwd] && delivered[rev]) return;
+      CubePath route = emb.edge_path(e);
       if (route.size() < 2) {
-        delivered[i] = 1;
-        ++result.delivered;
-        continue;
+        for (const std::size_t m : {fwd, rev}) {
+          if (delivered[m]) continue;
+          delivered[m] = 1;
+          ++result.delivered;
+        }
+        return;
       }
-      (void)net.add_message(std::move(route));
-      queued.push_back(i);
-    }
+      if (!delivered[fwd]) {
+        (void)net.add_message(route);
+        queued.push_back(fwd);
+      }
+      if (!delivered[rev]) {
+        route.reverse();
+        (void)net.add_message(std::move(route));
+        queued.push_back(rev);
+      }
+    });
     if (queued.empty()) break;  // everything delivered
     if (obs::enabled()) {
       static obs::Counter& retx =
@@ -302,12 +305,12 @@ LiveRunResult run_stencil_with_recovery(EmbeddingPtr base,
     result.verdict = Verdict::Certified;
   } else if (!hard_truncated && result.report.valid) {
     result.verdict = Verdict::Degraded;
-    std::vector<u8> covered(base->guest().num_nodes(), 1);
-    for (std::size_t i = 0; i < traffic.size(); ++i) {
-      if (delivered[i]) continue;
-      covered[traffic[i].from] = 0;
-      covered[traffic[i].to] = 0;
-    }
+    std::vector<u8> covered(guest.num_nodes(), 1);
+    std::size_t i = 0;
+    guest.for_each_edge([&](const MeshEdge& e) {
+      if (!delivered[i] || !delivered[i + 1]) covered[e.a] = covered[e.b] = 0;
+      i += 2;
+    });
     for (MeshIndex v = 0; v < covered.size(); ++v)
       if (!covered[v]) result.uncovered.push_back(v);
   } else {

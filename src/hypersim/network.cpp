@@ -18,10 +18,13 @@ u64 link_id(CubeNode from, CubeNode to, u32 dim) {
 }
 
 /// Per-run message state shared by run() and run_live(). Every hop's
-/// directed link is resolved once to a dense index, so the cycle loop
-/// works on flat arrays: `ids` holds the distinct link ids, sorted; hop h
+/// directed link is resolved once to a dense slot, so the cycle loop
+/// works on flat arrays: `ids` holds the distinct link ids by slot; hop h
 /// of message m crosses link ids[hop[first[m] + h]], and
-/// crossed[first[m] + h] of m's flits have crossed it.
+/// crossed[first[m] + h] of m's flits have crossed it. Up to
+/// kDenseLinkDimLimit a table indexed by link id hands out slots in
+/// first-use order; larger cubes number the sorted distinct ids. Slot
+/// numbers never reach the results: transient drops hash the link id.
 struct Traffic {
   Traffic(const std::vector<CubePath>& routes, const std::vector<i64>& deps,
           const SimConfig& config)
@@ -40,12 +43,25 @@ struct Traffic {
       (deps[m] >= 0 ? children[static_cast<u32>(deps[m])] : roots).push_back(m);
     }
     first.push_back(hop_ids.size());
-    ids = hop_ids;
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    for (const u64 id : hop_ids)
-      hop.push_back(static_cast<u32>(
-          std::lower_bound(ids.begin(), ids.end(), id) - ids.begin()));
+    hop.reserve(hop_ids.size());
+    if (dim <= Hypercube::kDenseLinkDimLimit) {
+      std::vector<u32> slot_of((u64{1} << dim) * dim, 0);  // slot + 1
+      for (const u64 id : hop_ids) {
+        u32& slot = slot_of[id];
+        if (slot == 0) {
+          ids.push_back(id);
+          slot = static_cast<u32>(ids.size());
+        }
+        hop.push_back(slot - 1);
+      }
+    } else {
+      ids = hop_ids;
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      for (const u64 id : hop_ids)
+        hop.push_back(static_cast<u32>(
+            std::lower_bound(ids.begin(), ids.end(), id) - ids.begin()));
+    }
     crossed.assign(hop.size(), 0);
     used.assign(ids.size(), 0);
   }

@@ -27,6 +27,40 @@ CubeNode ContractionEmbedding::map(MeshIndex idx) const {
   return base_->map(block_of(idx));
 }
 
+void ContractionEmbedding::map_all(std::vector<CubeNode>& out) const {
+  std::vector<CubeNode> bm;
+  base_->map_all(bm);
+  const Shape& s = guest().shape();
+  const Shape& sb = base_->guest().shape();
+  const u64 n = s.num_nodes();
+  out.resize(n);
+  if (n == 0) return;
+  const u32 k = s.dims();
+  // Row-major odometer over the guest, fastest axis last: r[j] counts
+  // through the block of factors_[j] nodes, b[j] is the block coordinate
+  // and bi the base index of the current block.
+  Coord r(k, 0), b(k, 0);
+  u64 bi = 0;
+  for (u64 idx = 0;;) {
+    out[idx] = bm[bi];
+    if (++idx == n) break;
+    for (u32 j = k; j-- > 0;) {
+      if (r[j] + 1 < factors_[j]) {
+        ++r[j];
+        break;
+      }
+      r[j] = 0;
+      if (b[j] + 1 < sb[j]) {
+        ++b[j];
+        bi += sb.stride(j);
+        break;
+      }
+      bi -= b[j] * sb.stride(j);
+      b[j] = 0;
+    }
+  }
+}
+
 CubePath ContractionEmbedding::edge_path(const MeshEdge& e) const {
   const MeshIndex ba = block_of(e.a), bb = block_of(e.b);
   if (ba == bb) {
@@ -51,6 +85,11 @@ CubeFoldEmbedding::CubeFoldEmbedding(EmbeddingPtr base, u32 folded_dim)
 
 CubeNode CubeFoldEmbedding::map(MeshIndex idx) const {
   return base_->map(idx) & mask_;
+}
+
+void CubeFoldEmbedding::map_all(std::vector<CubeNode>& out) const {
+  base_->map_all(out);
+  for (CubeNode& v : out) v &= mask_;
 }
 
 CubePath CubeFoldEmbedding::edge_path(const MeshEdge& e) const {
@@ -193,6 +232,11 @@ CubeNode SubcubeEmbedding::map(MeshIndex idx) const {
   return expand(base_->map(idx));
 }
 
+void SubcubeEmbedding::map_all(std::vector<CubeNode>& out) const {
+  base_->map_all(out);
+  for (CubeNode& v : out) v = expand(v);
+}
+
 CubePath SubcubeEmbedding::edge_path(const MeshEdge& e) const {
   CubePath out;
   for (CubeNode v : base_->edge_path(e)) out.push_back(expand(v));
@@ -205,10 +249,12 @@ DegradeProvider make_degrade_provider() {
     // A sub-cube (fix the bits in `mask` to `value`) survives iff it
     // contains no failed node and no failed link with both endpoints
     // inside it (a link across a fixed dimension leaves the sub-cube).
+    const std::vector<CubeNode> failed_nodes = faults.failed_nodes();
+    const std::vector<u64> failed_links = faults.failed_link_keys();
     const auto healthy = [&](u64 mask, u64 value) {
-      for (CubeNode f : faults.failed_nodes())
+      for (CubeNode f : failed_nodes)
         if ((f & mask) == value) return false;
-      for (u64 key : faults.failed_link_keys()) {
+      for (u64 key : failed_links) {
         const CubeNode lo = key >> 6;
         const u32 bit = static_cast<u32>(key & 63);
         if (mask & (u64{1} << bit)) continue;  // crosses a fixed dimension

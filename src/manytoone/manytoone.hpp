@@ -38,6 +38,7 @@ class ContractionEmbedding final : public Embedding {
 
   [[nodiscard]] CubeNode map(MeshIndex idx) const override;
   [[nodiscard]] CubePath edge_path(const MeshEdge& e) const override;
+  void map_all(std::vector<CubeNode>& out) const override;
   [[nodiscard]] bool one_to_one() const noexcept override {
     return factors_.num_nodes() == 1 && base_->one_to_one();
   }
@@ -64,6 +65,7 @@ class CubeFoldEmbedding final : public Embedding {
 
   [[nodiscard]] CubeNode map(MeshIndex idx) const override;
   [[nodiscard]] CubePath edge_path(const MeshEdge& e) const override;
+  void map_all(std::vector<CubeNode>& out) const override;
   [[nodiscard]] bool one_to_one() const noexcept override {
     return base_->host_dim() == host_dim() && base_->one_to_one();
   }
@@ -118,6 +120,7 @@ class SubcubeEmbedding final : public Embedding {
 
   [[nodiscard]] CubeNode map(MeshIndex idx) const override;
   [[nodiscard]] CubePath edge_path(const MeshEdge& e) const override;
+  void map_all(std::vector<CubeNode>& out) const override;
   [[nodiscard]] bool one_to_one() const noexcept override {
     return base_->host_dim() == host_dim() && base_->one_to_one();
   }

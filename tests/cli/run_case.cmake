@@ -10,6 +10,8 @@
 #   STDIN           text fed to the command's stdin; "\n" escapes become
 #                   newlines (line-protocol commands like serve)
 #   EXPECT_NONZERO  if set, the command must FAIL (any nonzero exit)
+#   EXPECT_EXIT     if set, the command must exit with exactly this code
+#                   (e.g. 2 for a usage error)
 #   MATCH           substring that must appear in combined stdout+stderr
 #   FILE1 / FILE1_MATCH, FILE2 / FILE2_MATCH
 #                   files that must exist afterwards and contain the
@@ -67,7 +69,11 @@ if(DEFINED STDIN)
 endif()
 set(combined "${out}${err}")
 
-if(EXPECT_NONZERO)
+if(DEFINED EXPECT_EXIT)
+  if(NOT rc EQUAL EXPECT_EXIT)
+    message(FATAL_ERROR "expected exit ${EXPECT_EXIT}, got ${rc}\n${combined}")
+  endif()
+elseif(EXPECT_NONZERO)
   if(rc EQUAL 0)
     message(FATAL_ERROR "expected failure, got exit 0\n${combined}")
   endif()

@@ -236,6 +236,12 @@ TEST(FaultScheduleFuzz, MalformedInputsAreRejectedWithContext) {
       "5 link 3 4\n",         // addresses are not cube-adjacent
       "5 node 3 junk\n",      // trailing junk
       "1 node 1\nbroken\n",   // good line followed by bad one
+      "-5 node 3\n",          // signed cycle (would wrap to 2^64 - 5)
+      "+5 node 3\n",          // signed cycle
+      "5 node -3\n",          // signed address
+      "5 node 3x\n",          // address with a suffix
+      "5 link 0 +1\n",        // signed second address
+      "99999999999999999999 node 3\n",  // cycle overflows u64
   };
   for (const char* text : bad) {
     EXPECT_THROW((void)sim::FaultSchedule::parse(text),

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+
 #include "core/direct.hpp"
 #include "core/io.hpp"
 #include "core/planner.hpp"
@@ -86,6 +89,81 @@ TEST(FaultModel, ParseFaultSpec) {
   EXPECT_THROW((void)parse_fault_spec("link=0-3"), std::invalid_argument);
   EXPECT_THROW((void)parse_fault_spec("p=2.0"), std::invalid_argument);
   EXPECT_THROW((void)parse_fault_spec("bogus=1"), std::invalid_argument);
+  // Numbers parse strictly: no sign, space, suffix or u64 wrap-around.
+  for (const char* bad :
+       {"node=-1", "node= 3", "node=3 ", "node=+3", "node=3x",
+        "node=18446744073709551616", "link=-1-0", "link=0- 1", "p= 0.1",
+        "p=0.1x", "seed=-2", "seed=+2"})
+    EXPECT_THROW((void)parse_fault_spec(bad), std::invalid_argument) << bad;
+}
+
+TEST(FaultSet, AgreesWithAnOrderedSetOracle) {
+  // Seeded random fail/heal/query sequences against std::set oracles, over
+  // Q14-range addresses, the edges of the dense ranges and addresses far
+  // above them (a fault spec may name any u64), which FaultSet keeps in
+  // different storage.
+  const CubeNode node_limit = CubeNode{1} << Hypercube::kDenseNodeDimLimit;
+  const CubeNode link_limit = CubeNode{1} << Hypercube::kDenseLinkDimLimit;
+  const CubeNode bases[] = {0,
+                            (CubeNode{1} << 14) - 32,
+                            link_limit - 16,
+                            node_limit - 16,
+                            CubeNode{1} << 40};
+  std::mt19937_64 rng(0xFA17u);
+  const auto address = [&] { return bases[rng() % 5] + rng() % 32; };
+  const auto neighbor = [&](CubeNode v) {
+    return v ^ (CubeNode{1} << (rng() % 44));
+  };
+
+  FaultSet f;
+  std::set<CubeNode> nodes;
+  std::set<u64> links;
+  const auto oracle_node = [&](CubeNode v) { return nodes.count(v) != 0; };
+  const auto oracle_link = [&](CubeNode a, CubeNode b) {
+    return oracle_node(a) || oracle_node(b) ||
+           links.count(Hypercube::edge_key(a, b)) != 0;
+  };
+  for (int step = 0; step < 20000; ++step) {
+    const CubeNode a = address();
+    const CubeNode b = neighbor(a);
+    switch (rng() % 6) {
+      case 0:
+        f.fail_node(a);
+        nodes.insert(a);
+        break;
+      case 1:
+        f.fail_link(a, b);
+        links.insert(Hypercube::edge_key(a, b));
+        break;
+      case 2:
+        f.heal_link(b, a);
+        links.erase(Hypercube::edge_key(a, b));
+        break;
+      default: {
+        ASSERT_EQ(f.node_failed(a), oracle_node(a)) << a;
+        ASSERT_EQ(f.link_failed(a, b), oracle_link(a, b)) << a << "-" << b;
+        ASSERT_EQ(f.link_failed(b, a), oracle_link(a, b)) << b << "-" << a;
+        CubePath path{a, b};
+        path.push_back(neighbor(b));
+        bool avoids = true;
+        for (std::size_t i = 0; i < path.size(); ++i)
+          avoids = avoids && !oracle_node(path[i]) &&
+                   (i + 1 == path.size() || !oracle_link(path[i], path[i + 1]));
+        ASSERT_EQ(f.path_avoids(path), avoids);
+      }
+    }
+    ASSERT_EQ(f.num_failed_nodes(), nodes.size());
+    ASSERT_EQ(f.num_failed_links(), links.size());
+    ASSERT_EQ(f.empty(), nodes.empty() && links.empty());
+  }
+  // Both ranges were populated, and enumeration is the sorted oracle.
+  EXPECT_LT(*nodes.begin(), node_limit);
+  EXPECT_GE(*nodes.rbegin(), node_limit);
+  EXPECT_LT(*links.begin(), link_limit << 6);
+  EXPECT_GE(*links.rbegin(), link_limit << 6);
+  EXPECT_EQ(f.failed_nodes(),
+            std::vector<CubeNode>(nodes.begin(), nodes.end()));
+  EXPECT_EQ(f.failed_link_keys(), std::vector<u64>(links.begin(), links.end()));
 }
 
 // --- Simulator fault injection --------------------------------------------

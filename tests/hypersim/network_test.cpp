@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/direct.hpp"
 #include "core/verify.hpp"
 #include "hypersim/storm.hpp"
@@ -274,6 +276,101 @@ TEST(Network, FaultedStencilResultsArePinned) {
     EXPECT_EQ(r.max_link_load, row.max_link_load);
     EXPECT_EQ(r.dropped_flits, row.dropped_flits);
     EXPECT_EQ(r.failed_messages, row.failed_messages);
+  }
+}
+
+TEST(Network, DenseAndSortedLinkSlotsAgree) {
+  // Traffic numbers link slots through a dense table up to
+  // kDenseLinkDimLimit and through the sorted distinct ids above it. The
+  // same faulted message set — a Q12 stencil plus multi-hop e-cube routes
+  // — run in Q12 and lifted unchanged into Q20 must give identical
+  // results. No transient drops: those hash the link id, which depends on
+  // the cube dimension.
+  constexpr u32 kLow = 12, kHigh = 20;
+  static_assert(kLow <= Hypercube::kDenseLinkDimLimit &&
+                kHigh > Hypercube::kDenseLinkDimLimit);
+  GrayEmbedding emb{Mesh(Shape{16, 16, 16})};
+  ASSERT_EQ(emb.host_dim(), kLow);
+  std::vector<CubePath> routes;
+  emb.guest().for_each_edge([&](const MeshEdge& e) {
+    routes.push_back(emb.edge_path(e));
+    routes.push_back(routes.back());
+    routes.back().reverse();
+  });
+  std::mt19937_64 rng(0x51u);
+  for (int i = 0; i < 400; ++i)
+    routes.push_back(Hypercube::ecube_path(rng() % 4096, rng() % 4096));
+
+  FaultModel model;
+  FaultSchedule schedule;
+  for (int i = 0; i < 24; ++i) {
+    const CubeNode v = rng() % 4096;
+    const CubeNode w = v ^ (CubeNode{1} << (rng() % kLow));
+    if (i % 3 == 0) {
+      model.permanent().fail_node(v);
+      schedule.add_node_failure(2 + rng() % 16, v);
+    } else if (!model.permanent().link_failed(v, w)) {
+      model.permanent().fail_link(v, w);
+      schedule.add_link_failure(2 + rng() % 16, v, w);
+    }
+  }
+  model.add_flapping(FlapSpec{5, 7, 16, 5, 0});
+  FaultModel flapping_only;
+  flapping_only.add_flapping(FlapSpec{5, 7, 16, 5, 0});
+
+  const auto config = [](u32 dim, const FaultModel* faults) {
+    SimConfig c{dim};
+    c.message_flits = 2;
+    c.max_retries = 8;
+    c.faults = faults;
+    return c;
+  };
+  const auto run = [&](u32 dim) {
+    CubeNetwork net(config(dim, &model));
+    for (const CubePath& r : routes) (void)net.add_message(r);
+    return net.run();
+  };
+  const auto run_live = [&](u32 dim, u64 start) {
+    CubeNetwork net(config(dim, &flapping_only));
+    for (const CubePath& r : routes) (void)net.add_message(r);
+    return net.run_live(start, schedule);
+  };
+
+  const SimResult lo = run(kLow), hi = run(kHigh);
+  EXPECT_GT(lo.failed_messages, 0u);
+  EXPECT_GT(lo.dropped_flits, 0u);
+  EXPECT_EQ(lo.cycles, hi.cycles);
+  EXPECT_EQ(lo.messages, hi.messages);
+  EXPECT_EQ(lo.total_hops, hi.total_hops);
+  EXPECT_EQ(lo.max_link_load, hi.max_link_load);
+  EXPECT_EQ(lo.max_route_len, hi.max_route_len);
+  EXPECT_EQ(lo.completed, hi.completed);
+  EXPECT_EQ(lo.delivered, hi.delivered);
+  EXPECT_EQ(lo.failed_messages, hi.failed_messages);
+  EXPECT_EQ(lo.dropped_flits, hi.dropped_flits);
+  EXPECT_EQ(lo.slowdown_vs_bound, hi.slowdown_vs_bound);
+
+  // Epoch by epoch, resuming where the previous one paused, as the live
+  // driver does (the same message set each time is enough here).
+  u64 start_lo = 0, start_hi = 0;
+  for (int epoch = 0; epoch < 4; ++epoch) {
+    SCOPED_TRACE(epoch);
+    const LiveEpochResult a = run_live(kLow, start_lo);
+    const LiveEpochResult b = run_live(kHigh, start_hi);
+    EXPECT_EQ(a.end_cycle, b.end_cycle);
+    EXPECT_EQ(a.messages, b.messages);
+    EXPECT_EQ(a.delivered, b.delivered);
+    EXPECT_EQ(a.dropped_flits, b.dropped_flits);
+    EXPECT_EQ(a.detected, b.detected);
+    EXPECT_EQ(a.truncated, b.truncated);
+    EXPECT_EQ(a.deferred_watchdogs, b.deferred_watchdogs);
+    EXPECT_EQ(a.detections, b.detections);
+    EXPECT_EQ(a.message_delivered, b.message_delivered);
+    if (epoch == 0) {
+      EXPECT_TRUE(a.detected);
+    }
+    start_lo = a.end_cycle;
+    start_hi = b.end_cycle;
   }
 }
 
