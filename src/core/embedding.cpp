@@ -10,6 +10,10 @@ void Embedding::map_all(std::vector<CubeNode>& out) const {
   for (MeshIndex i = 0; i < n; ++i) out[i] = map(i);
 }
 
+void Embedding::for_each_edge_path(const EdgePathFn& fn) const {
+  guest_.for_each_edge([&](const MeshEdge& e) { fn(e, edge_path(e)); });
+}
+
 void GrayEmbedding::map_all(std::vector<CubeNode>& out) const {
   const Shape& s = guest().shape();
   const u64 n = s.num_nodes();
@@ -34,6 +38,14 @@ void GrayEmbedding::map_all(std::vector<CubeNode>& out) const {
       c[i] = 0;
     }
   }
+}
+
+void GrayEmbedding::for_each_edge_path(const EdgePathFn& fn) const {
+  std::vector<CubeNode> nm;
+  map_all(nm);
+  guest().for_each_edge([&](const MeshEdge& e) {
+    fn(e, Hypercube::ecube_path(nm[e.a], nm[e.b]));
+  });
 }
 
 CubePath ExplicitEmbedding::edge_path(const MeshEdge& e) const {
@@ -61,6 +73,45 @@ void ExplicitEmbedding::set_edge_path(const MeshEdge& e, CubePath path) {
     it->second = std::move(path);
   else
     paths_.insert(it, {key, std::move(path)});
+}
+
+void ExplicitEmbedding::for_each_edge_path(const EdgePathFn& fn) const {
+  // Node-major, axes ascending: exactly the order of path_key, so one
+  // forward merge over the sorted overrides replaces a lower_bound per
+  // edge.
+  assert(paths_sorted_);
+  const Mesh& g = guest();
+  const Shape& s = g.shape();
+  const u32 k = s.dims();
+  const u64 n = s.num_nodes();
+  SmallVec<u64, 4> stride(k, 0);
+  for (u32 i = 0; i < k; ++i) stride[i] = s.stride(i);
+  auto ov = paths_.begin();
+  Coord c(k, 0);
+  for (MeshIndex a = 0; a < n; ++a) {
+    for (u32 axis = 0; axis < k; ++axis) {
+      const u64 l = s[axis];
+      MeshEdge e{a, 0, axis, false};
+      if (c[axis] + 1 < l) {
+        e.b = a + stride[axis];
+      } else if (g.wraps(axis) && l > 2) {
+        e.b = a - (l - 1) * stride[axis];
+        e.wrap = true;
+      } else {
+        continue;
+      }
+      const u64 key = path_key(e);
+      while (ov != paths_.end() && ov->first < key) ++ov;
+      if (ov != paths_.end() && ov->first == key)
+        fn(e, ov->second);
+      else
+        fn(e, Hypercube::ecube_path(map_[e.a], map_[e.b]));
+    }
+    for (u32 i = k; i-- > 0;) {
+      if (++c[i] < s[i]) break;
+      c[i] = 0;
+    }
+  }
 }
 
 CubePath neighbor_route(const Embedding& emb, MeshIndex u, MeshIndex w) {

@@ -5,8 +5,15 @@
 // represented behaviourally (virtual map/edge_path) so that the graph
 // decomposition engine can compose them without materializing node tables,
 // exactly mirroring the constructive proofs of Theorem 3 and Corollary 2.
+//
+// Two bulk traversals sit beside the random-access pair: map_all (every
+// node image) and for_each_edge_path (every edge path, in an order of the
+// embedding's choosing). Composites override them to stream their factors
+// once instead of recursing per node or per edge; map/edge_path stay the
+// reference definitions the bulk forms must agree with.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -55,6 +62,18 @@ class Embedding {
   /// odometer traversals that amortize the per-node coordinate arithmetic
   /// and factor-map recursion — the batch verifier's hot path.
   virtual void map_all(std::vector<CubeNode>& out) const;
+
+  /// Receives one guest edge and its assigned path.
+  using EdgePathFn = std::function<void(const MeshEdge&, const CubePath&)>;
+
+  /// Visit every guest edge exactly once with its path. Each edge is
+  /// oriented as Mesh::for_each_edge orients it and its path equals
+  /// edge_path(e); the visiting order is deterministic but the
+  /// embedding's own, not for_each_edge order, so callers must aggregate
+  /// commutatively (or key by slot axis * num_nodes + a). The default
+  /// loops edge_path; products fan each factor path out to every copy
+  /// (Corollary 2), relabels and submeshes re-index their base's walk.
+  virtual void for_each_edge_path(const EdgePathFn& fn) const;
 
   /// True asserts that *every* guest edge's assigned path is exactly the
   /// at-most-one-hop sequence [map(e.a), map(e.b)] — i.e. dilation <= 1
@@ -118,6 +137,7 @@ class GrayEmbedding final : public Embedding {
   }
 
   void map_all(std::vector<CubeNode>& out) const override;
+  void for_each_edge_path(const EdgePathFn& fn) const override;
 
   [[nodiscard]] bool unit_paths() const noexcept override { return true; }
 
@@ -163,6 +183,7 @@ class ExplicitEmbedding final : public Embedding {
   void map_all(std::vector<CubeNode>& out) const override {
     out.assign(map_.begin(), map_.end());
   }
+  void for_each_edge_path(const EdgePathFn& fn) const override;
 
   /// Prescribe the path for one edge. `path` must run from map(e.a) to
   /// map(e.b) along cube edges; the verifier re-checks this.

@@ -1,7 +1,9 @@
 #include "core/io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <unordered_set>
 
 namespace hj::io {
@@ -11,6 +13,40 @@ bool is_default_route(const Embedding& emb, const MeshEdge& e,
                       const CubePath& path) {
   return path == Hypercube::ecube_path(emb.map(e.a), emb.map(e.b));
 }
+
+/// All of `t` as an unsigned decimal: no sign, suffix or overflow.
+template <class T>
+bool parse_number(std::string_view t, T& v) {
+  const char* end = t.data() + t.size();
+  const auto [ptr, ec] = std::from_chars(t.data(), end, v);
+  return !t.empty() && ec == std::errc{} && ptr == end;
+}
+
+/// The whitespace-separated tokens of one line, read front to back.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) : rest_(line) {}
+
+  /// The next token; empty once the line is used up.
+  std::string_view next() {
+    const std::size_t b = rest_.find_first_not_of(" \t\r");
+    if (b == std::string_view::npos) return rest_ = {};
+    rest_.remove_prefix(b);
+    const std::string_view tok = rest_.substr(0, rest_.find_first_of(" \t\r"));
+    rest_.remove_prefix(tok.size());
+    return tok;
+  }
+
+  template <class T>
+  bool number(T& v) {
+    return parse_number(next(), v);
+  }
+
+  [[nodiscard]] bool done() { return next().empty(); }
+
+ private:
+  std::string_view rest_;
+};
 
 }  // namespace
 
@@ -42,11 +78,14 @@ std::string to_text(const Embedding& emb) {
   return os.str();
 }
 
-// The parser is line-oriented and tracks line numbers, so a truncated or
-// torn document (a common torn-write artifact the plan store must survive)
-// is rejected with the exact position: input ending mid-`path` line or
-// missing the `end` sentinel throws std::invalid_argument naming the line,
-// never silently succeeds with a partial embedding.
+// The parser is line-oriented and strict: every line carries exactly its
+// declared tokens, numbers are unsigned decimals, a wrap path must belong
+// to a wrap edge, and nothing but blank lines may follow `end`. It tracks
+// line numbers, so a truncated or torn document (a common torn-write
+// artifact the plan store must survive) is rejected with the exact
+// position: input ending mid-`path` line or missing the `end` sentinel
+// throws std::invalid_argument naming the line, never silently succeeds
+// with a partial embedding.
 std::shared_ptr<ExplicitEmbedding> read_text(std::istream& is) {
   u32 lineno = 0;
   std::string line;
@@ -70,22 +109,23 @@ std::shared_ptr<ExplicitEmbedding> read_text(std::istream& is) {
 
   if (!next_line()) return fail("empty input (expected 'hjembed 1' header)");
   {
-    std::istringstream ls(line);
-    std::string word;
+    Tokens ls(line);
     u32 version = 0;
-    if (!(ls >> word >> version) || word != "hjembed" || version != 1)
+    if (ls.next() != "hjembed" || !ls.number(version) || version != 1 ||
+        !ls.done())
       return fail("bad header");
   }
 
   if (!next_line()) return fail("truncated input: expected shape");
   SmallVec<u64, 4> extents;
   {
-    std::istringstream ls(line);
-    std::string word;
-    if (!(ls >> word) || word != "shape") return fail("expected shape");
-    u64 v;
-    while (ls >> v) extents.push_back(v);
-    if (!ls.eof()) return fail("bad shape extent");
+    Tokens ls(line);
+    if (ls.next() != "shape") return fail("expected shape");
+    for (std::string_view t; !(t = ls.next()).empty();) {
+      u64 v = 0;
+      if (!parse_number(t, v)) return fail("bad shape extent");
+      extents.push_back(v);
+    }
   }
   if (extents.empty()) return fail("empty shape");
   // Overflow / resource guard: reject meshes no sane file would hold
@@ -101,33 +141,36 @@ std::shared_ptr<ExplicitEmbedding> read_text(std::istream& is) {
   if (!next_line()) return fail("truncated input: expected wrap");
   SmallVec<u8, 4> wrap;
   {
-    std::istringstream ls(line);
-    std::string word;
-    if (!(ls >> word) || word != "wrap") return fail("expected wrap");
+    Tokens ls(line);
+    if (ls.next() != "wrap") return fail("expected wrap");
     for (u32 i = 0; i < shape.dims(); ++i) {
-      u32 w;
-      if (!(ls >> w)) return fail("short wrap line");
-      wrap.push_back(static_cast<u8>(w != 0));
+      const std::string_view t = ls.next();
+      u8 w = 0;
+      if (t.empty()) return fail("short wrap line");
+      if (!parse_number(t, w) || w > 1)
+        return fail("wrap flags must be 0 or 1");
+      wrap.push_back(w);
     }
+    if (!ls.done()) return fail("extra tokens on wrap line");
   }
   const Mesh guest(shape, wrap);
 
   if (!next_line()) return fail("truncated input: expected cube");
   u32 cube = 0;
   {
-    std::istringstream ls(line);
-    std::string word;
-    if (!(ls >> word >> cube) || word != "cube") return fail("expected cube");
+    Tokens ls(line);
+    if (ls.next() != "cube" || !ls.number(cube) || !ls.done())
+      return fail("expected cube");
   }
 
   if (!next_line()) return fail("truncated input: expected map");
   std::vector<CubeNode> map(guest.num_nodes());
   {
-    std::istringstream ls(line);
-    std::string word;
-    if (!(ls >> word) || word != "map") return fail("expected map");
+    Tokens ls(line);
+    if (ls.next() != "map") return fail("expected map");
     for (CubeNode& v : map)
-      if (!(ls >> v)) return fail("short node map");
+      if (!ls.number(v)) return fail("short node map");
+    if (!ls.done()) return fail("extra node map entry");
   }
 
   std::shared_ptr<ExplicitEmbedding> emb;
@@ -140,31 +183,42 @@ std::shared_ptr<ExplicitEmbedding> read_text(std::istream& is) {
   std::unordered_set<u64> seen_paths;
   while (true) {
     if (!next_line()) return fail("missing end marker");
-    std::istringstream ls(line);
-    std::string word;
-    ls >> word;
-    if (word == "end") return emb;
-    if (word != "path") return fail("unexpected token '" + word + "'");
-    MeshIndex a;
-    u32 axis, wrapped;
-    if (!(ls >> a >> axis >> wrapped))
+    Tokens ls(line);
+    const std::string_view word = ls.next();
+    if (word == "end") {
+      if (!ls.done()) return fail("extra tokens after end");
+      if (next_line()) return fail("content after end");
+      return emb;
+    }
+    if (word != "path")
+      return fail("unexpected token '" + std::string(word) + "'");
+    MeshIndex a = 0;
+    u32 axis = 0;
+    u8 wrapped = 0;
+    const std::string_view ta = ls.next(), tx = ls.next(), tw = ls.next();
+    if (tw.empty())
       return fail("short path header (input truncated mid-path?)");
-    if (a >= guest.num_nodes() || axis >= shape.dims())
+    if (!parse_number(ta, a) || !parse_number(tx, axis) ||
+        !parse_number(tw, wrapped))
+      return fail("bad path header");
+    if (a >= guest.num_nodes() || axis >= shape.dims() || wrapped > 1)
       return fail("path header out of range");
     if (!seen_paths.insert(a * shape.dims() + axis).second)
       return fail("duplicate path for node " + std::to_string(a) +
                   " axis " + std::to_string(axis));
     CubePath p;
-    {
-      CubeNode v;
-      while (ls >> v) p.push_back(v);
-      if (!ls.eof()) return fail("bad path node");
+    for (std::string_view t; !(t = ls.next()).empty();) {
+      CubeNode v = 0;
+      if (!parse_number(t, v)) return fail("bad path node");
+      p.push_back(v);
     }
     // Reconstruct the edge this path belongs to.
     const u64 stride = shape.stride(axis);
     const u64 c = (a / stride) % shape[axis];
     MeshIndex b;
     if (wrapped) {
+      if (!guest.wraps(axis) || shape[axis] <= 2)
+        return fail("wrap path on an axis without wrap edges");
       if (c != shape[axis] - 1) return fail("wrap path from non-border node");
       b = a - (shape[axis] - 1) * stride;
     } else {

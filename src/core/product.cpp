@@ -150,6 +150,90 @@ CubePath MeshProductEmbedding::edge_path(const MeshEdge& e) const {
   return path;
 }
 
+void MeshProductEmbedding::for_each_edge_path(const EdgePathFn& fn) const {
+  // Corollary 2 read as a traversal: every copy of the inner mesh reuses
+  // the inner edge paths, and every outer edge path joins two consecutive
+  // copies along the face where their (reflected) inner images coincide.
+  // Each factor is walked once and each of its paths fanned out to all
+  // the copies it serves; only the two factor node maps are materialized.
+  const Shape& s = guest().shape();
+  const Shape& s1 = inner_->guest().shape();
+  const Shape& s2 = outer_->guest().shape();
+  const u32 k = s.dims();
+  const u64 n2 = s2.num_nodes();
+  std::vector<CubeNode> im, om;
+  inner_->map_all(im);
+  outer_->map_all(om);
+  SmallVec<u64, 4> st(k, 0), st1(k, 0);
+  for (u32 i = 0; i < k; ++i) {
+    st[i] = s.stride(i);
+    st1[i] = s1.stride(i);
+  }
+  // Product index of reflected inner coordinate x in outer copy y.
+  const auto index_of = [&](const Coord& x, const Coord& y) {
+    u64 z = 0;
+    for (u32 i = 0; i < k; ++i)
+      z += (y[i] * s1[i] + ((y[i] & 1) ? s1[i] - 1 - x[i] : x[i])) * st[i];
+    return z;
+  };
+  CubePath q;
+
+  // M1-type edges. In reflected coordinates an inner edge runs x' ->
+  // x'+e_j; in a copy with odd y_j that is high-to-low in the product, so
+  // the low end is x'+e_j and the path runs reversed.
+  inner_->for_each_edge_path([&](const MeshEdge& e, const CubePath& p) {
+    const u32 j = e.axis;
+    const Coord x = s1.coord(e.a);
+    Coord x_hi = x;
+    ++x_hi[j];
+    Coord y(k, 0);
+    for (u64 yi = 0; yi < n2; ++yi) {
+      const bool odd = (y[j] & 1) != 0;
+      const u64 low = index_of(odd ? x_hi : x, y);
+      q.clear();
+      if (odd)
+        for (std::size_t t = p.size(); t-- > 0;)
+          q.push_back(combine(p[t], om[yi]));
+      else
+        for (CubeNode w : p) q.push_back(combine(w, om[yi]));
+      fn(MeshEdge{low, low + st[j], j, false}, q);
+      for (u32 i = k; i-- > 0;) {
+        if (++y[i] < s2[i]) break;
+        y[i] = 0;
+      }
+    }
+  });
+
+  // M2-type edges. Copies y and y+e_j meet on the inner face x'_j =
+  // l1_j-1 (y_j even) or x'_j = 0 (y_j odd); each outer path is carried
+  // once per inner node of that face.
+  outer_->for_each_edge_path([&](const MeshEdge& e, const CubePath& p) {
+    const u32 j = e.axis;
+    const Coord y = s2.coord(e.a);
+    Coord x(k, 0);
+    x[j] = (y[j] & 1) ? 0 : s1[j] - 1;
+    u64 xi = x[j] * st1[j];
+    for (bool more = true; more;) {
+      const u64 low = index_of(x, y);
+      q.clear();
+      for (CubeNode w : p) q.push_back(combine(im[xi], w));
+      fn(MeshEdge{low, low + st[j], j, false}, q);
+      more = false;
+      for (u32 i = k; i-- > 0;) {
+        if (i == j) continue;
+        if (x[i] + 1 < s1[i]) {
+          ++x[i];
+          xi += st1[i];
+          more = true;
+          break;
+        }
+        xi -= x[i] * st1[i];
+        x[i] = 0;
+      }
+    }
+  });
+}
+
 // ---------------------------------------------------------------------------
 
 RelabelEmbedding::RelabelEmbedding(EmbeddingPtr base, Shape target,
@@ -244,6 +328,22 @@ CubePath RelabelEmbedding::edge_path(const MeshEdge& e) const {
       MeshEdge{to_base(e.a), to_base(e.b), static_cast<u32>(baxis), e.wrap});
 }
 
+void RelabelEmbedding::for_each_edge_path(const EdgePathFn& fn) const {
+  const Shape& sb = base_->guest().shape();
+  const u32 kb = sb.dims();
+  SmallVec<u64, 4> tstride(kb, 0);  // base axis -> stride of its target axis
+  for (u32 i = 0; i < kb; ++i)
+    tstride[i] = guest().shape().stride(axis_of_base_[i]);
+  base_->for_each_edge_path([&](const MeshEdge& e, const CubePath& p) {
+    u64 rest = e.a, a = 0;
+    for (u32 i = kb; i-- > 0;) {
+      a += (rest % sb[i]) * tstride[i];
+      rest /= sb[i];
+    }
+    fn(MeshEdge{a, a + tstride[e.axis], axis_of_base_[e.axis], false}, p);
+  });
+}
+
 // ---------------------------------------------------------------------------
 
 SubmeshEmbedding::SubmeshEmbedding(EmbeddingPtr base, Shape guest_shape)
@@ -291,6 +391,25 @@ void SubmeshEmbedding::map_all(std::vector<CubeNode>& out) const {
 CubePath SubmeshEmbedding::edge_path(const MeshEdge& e) const {
   require(!e.wrap, "SubmeshEmbedding guests have no wrap edges");
   return base_->edge_path(MeshEdge{to_base(e.a), to_base(e.b), e.axis, false});
+}
+
+void SubmeshEmbedding::for_each_edge_path(const EdgePathFn& fn) const {
+  const Shape& s = guest().shape();
+  const Shape& sb = base_->guest().shape();
+  const u32 k = s.dims();
+  SmallVec<u64, 4> stride(k, 0);
+  for (u32 i = 0; i < k; ++i) stride[i] = s.stride(i);
+  // Keep the base edges with both ends inside the guest, re-indexed.
+  base_->for_each_edge_path([&](const MeshEdge& e, const CubePath& p) {
+    u64 rest = e.a, a = 0;
+    for (u32 i = k; i-- > 0;) {
+      const u64 c = rest % sb[i];
+      rest /= sb[i];
+      if (c + (i == e.axis ? 1 : 0) >= s[i]) return;
+      a += c * stride[i];
+    }
+    fn(MeshEdge{a, a + stride[e.axis], e.axis, false}, p);
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -155,18 +155,25 @@ VerifyReport verify_impl(const Embedding& emb, const FaultSet* faults) {
   u64 dil_sum = 0;
   u32 dil_max = 0;
   u64 bad_paths = 0;
-  // Generic per-edge accounting: materializes the assigned path and checks
-  // it hop by hop. The unit-path scan below is an exact shortcut of this.
-  const auto generic = [&](const MeshEdge& e) {
-    const CubePath p = emb.edge_path(e);
+  // The invalid edge the report names: the one with the smallest slot
+  // axis * num_nodes + a, i.e. the first in for_each_edge order, whatever
+  // order the path walk visits edges in.
+  MeshEdge first_bad;
+  u64 first_bad_slot = ~u64{0};
+  // Generic per-edge accounting: checks the assigned path hop by hop.
+  // Every aggregate is commutative, so the visiting order is free. The
+  // unit-path scan below is an exact shortcut of this.
+  const auto generic = [&](const MeshEdge& e, const CubePath& p) {
     bool ok = !p.empty() && p.front() == nm[e.a] && p.back() == nm[e.b];
     for (std::size_t i = 0; ok && i + 1 < p.size(); ++i)
       ok = Hypercube::adjacent(p[i], p[i + 1]) && host.contains(p[i + 1]);
     if (!ok) {
-      if (bad_paths++ == 0)
-        add_error(r, "invalid path for edge (" + std::to_string(e.a) + "," +
-                         std::to_string(e.b) + ") on axis " +
-                         std::to_string(e.axis));
+      ++bad_paths;
+      const u64 slot = e.axis * r.guest_nodes + e.a;
+      if (slot < first_bad_slot) {
+        first_bad_slot = slot;
+        first_bad = e;
+      }
       return;
     }
     const u32 d = static_cast<u32>(p.size() - 1);
@@ -220,11 +227,15 @@ VerifyReport verify_impl(const Embedding& emb, const FaultSet* faults) {
         cong.add(va, vb);
         return;
       }
-      generic(e);
+      generic(e, emb.edge_path(e));
     });
   } else {
-    guest.for_each_edge(generic);
+    emb.for_each_edge_path(generic);
   }
+  if (bad_paths > 0)
+    add_error(r, "invalid path for edge (" + std::to_string(first_bad.a) +
+                     "," + std::to_string(first_bad.b) + ") on axis " +
+                     std::to_string(first_bad.axis));
   if (bad_paths > 1)
     add_error(r, std::to_string(bad_paths) + " invalid edge paths in total");
 

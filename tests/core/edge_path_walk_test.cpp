@@ -1,0 +1,196 @@
+// for_each_edge_path() must visit every guest edge exactly once, oriented
+// as Mesh::for_each_edge orients it, with exactly the path edge_path()
+// assigns, for every Embedding subclass: verify() reads the bulk walk,
+// while the per-edge edge_path() stays the reference definition.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
+#include <string>
+
+#include "core/planner.hpp"
+#include "core/product.hpp"
+#include "manytoone/manytoone.hpp"
+#include "torus/torus.hpp"
+
+namespace hj {
+namespace {
+
+void expect_walk_agrees(const Embedding& emb, const std::string& what) {
+  const Mesh& g = emb.guest();
+  const u64 n = g.num_nodes();
+  // Expected edges keyed by slot axis * n + a (a is the for_each_edge end).
+  std::vector<MeshEdge> expected(n * g.dims());
+  std::vector<u8> state(n * g.dims(), 0);  // 0 none, 1 expected, 2 visited
+  g.for_each_edge([&](const MeshEdge& e) {
+    expected[e.axis * n + e.a] = e;
+    state[e.axis * n + e.a] = 1;
+  });
+  u64 visits = 0, bad = 0;
+  std::string first;
+  const auto fail = [&](const MeshEdge& e, const char* why) {
+    if (bad++ == 0)
+      first = std::string(why) + " at edge (" + std::to_string(e.a) + "," +
+              std::to_string(e.b) + ") axis " + std::to_string(e.axis);
+  };
+  emb.for_each_edge_path([&](const MeshEdge& e, const CubePath& p) {
+    ++visits;
+    const u64 slot = u64{e.axis} * n + e.a;
+    if (e.axis >= g.dims() || e.a >= n || state[slot] == 0)
+      return fail(e, "not a guest edge (or misoriented)");
+    if (state[slot] == 2) return fail(e, "visited twice");
+    state[slot] = 2;
+    const MeshEdge& want = expected[slot];
+    if (e.b != want.b || e.wrap != want.wrap) return fail(e, "wrong far end");
+    if (!(p == emb.edge_path(want))) return fail(e, "path differs");
+  });
+  EXPECT_EQ(bad, 0u) << what << ": " << first;
+  EXPECT_EQ(visits, g.num_edges()) << what;
+  EXPECT_EQ(std::count(state.begin(), state.end(), u8{1}), 0) << what;
+}
+
+class EdgePathWalk : public ::testing::Test {
+ protected:
+  /// A random shape of rank `k`, axes in [1, max_len].
+  Shape shape(u32 k, u64 max_len) {
+    SmallVec<u64, 4> ext;
+    for (u32 i = 0; i < k; ++i) ext.push_back(1 + rng_() % max_len);
+    return Shape{ext};
+  }
+  EmbeddingPtr gray(const Shape& s) {
+    return std::make_shared<GrayEmbedding>(Mesh(s));
+  }
+  /// A random injective node map of `mesh` into its minimal cube plus
+  /// two, with a detour path prescribed for about a third of the edges.
+  EmbeddingPtr explicit_of(const Mesh& mesh) {
+    const u32 n = mesh.shape().minimal_cube_dim() + 2;
+    std::vector<CubeNode> all(u64{1} << n);
+    for (CubeNode v = 0; v < all.size(); ++v) all[v] = v;
+    std::shuffle(all.begin(), all.end(), rng_);
+    all.resize(mesh.num_nodes());
+    auto emb = std::make_shared<ExplicitEmbedding>(mesh, n, std::move(all));
+    mesh.for_each_edge([&](const MeshEdge& e) {
+      if (rng_() % 3 != 0) return;
+      // Step out along a spare bit d, e-cube across, step back.
+      const CubeNode u = emb->map(e.a), v = emb->map(e.b);
+      const CubeNode d = CubeNode{1} << (rng_() % n);
+      if ((u ^ v) & d) return;
+      CubePath p = Hypercube::ecube_path(u ^ d, v ^ d);
+      CubePath path;
+      path.push_back(u);
+      for (CubeNode w : p) path.push_back(w);
+      path.push_back(v);
+      emb->set_edge_path(e, std::move(path));
+    });
+    return emb;
+  }
+  EmbeddingPtr explicit_of(const Shape& s) { return explicit_of(Mesh(s)); }
+  /// Gray, explicit or a product of the two, over rank `k`.
+  EmbeddingPtr base(u32 k) {
+    switch (rng_() % 3) {
+      case 0: return gray(shape(k, 6));
+      case 1: return explicit_of(shape(k, 5));
+      default:
+        return std::make_shared<MeshProductEmbedding>(explicit_of(shape(k, 3)),
+                                                      gray(shape(k, 3)));
+    }
+  }
+
+  std::mt19937_64 rng_{0xED6E9A7u};
+};
+
+TEST_F(EdgePathWalk, AgreesWithEdgePathForEverySubclass) {
+  for (int trial = 0; trial < 40; ++trial) {
+    const u32 k = 1 + static_cast<u32>(rng_() % 3);
+    const std::string tag = "trial " + std::to_string(trial);
+
+    expect_walk_agrees(*gray(shape(k, 9)), tag + " gray");
+    expect_walk_agrees(*explicit_of(shape(k, 6)), tag + " explicit");
+    // Wrapped axes exercise the wrap edges of the node-major merge.
+    SmallVec<u8, 4> wrap;
+    for (u32 i = 0; i < k; ++i) wrap.push_back(static_cast<u8>(rng_() & 1));
+    expect_walk_agrees(*explicit_of(Mesh(shape(k, 6), wrap)),
+                       tag + " explicit wrapped");
+
+    // Products, nested once more on each side.
+    const EmbeddingPtr p =
+        std::make_shared<MeshProductEmbedding>(base(k), base(k));
+    expect_walk_agrees(*p, tag + " product");
+    if (p->guest().num_nodes() <= 20000) {
+      expect_walk_agrees(MeshProductEmbedding(explicit_of(shape(k, 3)), p),
+                         tag + " nested outer");
+      expect_walk_agrees(MeshProductEmbedding(p, explicit_of(shape(k, 3))),
+                         tag + " nested inner");
+    }
+
+    // Relabel: insert a length-1 axis in the middle, or swap the axes.
+    const EmbeddingPtr b2 = base(2);
+    const Shape& s2 = b2->guest().shape();
+    expect_walk_agrees(RelabelEmbedding(b2, Shape{s2[0], 1, s2[1]}, {0, 2}),
+                       tag + " relabel lifted");
+    expect_walk_agrees(RelabelEmbedding(b2, Shape{s2[1], s2[0]}, {1, 0}),
+                       tag + " relabel permuted");
+
+    // Submesh of a product, and a relabel of a submesh.
+    SmallVec<u64, 4> sub;
+    for (u32 i = 0; i < k; ++i) {
+      const u64 l = p->guest().shape()[i];
+      sub.push_back(l - rng_() % l);
+    }
+    const auto sm = std::make_shared<SubmeshEmbedding>(p, Shape{sub});
+    expect_walk_agrees(*sm, tag + " submesh of product");
+    SmallVec<u32, 4> rev;
+    for (u32 i = 0; i < k; ++i) rev.push_back(k - 1 - i);
+    SmallVec<u64, 4> rev_ext;
+    for (u32 i = 0; i < k; ++i) rev_ext.push_back(sub[k - 1 - i]);
+    expect_walk_agrees(RelabelEmbedding(sm, Shape{rev_ext}, rev),
+                       tag + " relabel of submesh");
+
+    // Many-to-one embeddings keep the default walk.
+    expect_walk_agrees(m2o::ContractionEmbedding(p, shape(k, 4)),
+                       tag + " contraction");
+    const u32 folded = static_cast<u32>(rng_() % (p->host_dim() + 1));
+    expect_walk_agrees(m2o::CubeFoldEmbedding(p, folded), tag + " fold");
+    const u32 pinned = 1 + static_cast<u32>(rng_() % 3);
+    const u32 host = p->host_dim() + pinned;
+    u64 mask = 0;
+    while (static_cast<u32>(std::popcount(mask)) < pinned)
+      mask |= u64{1} << (rng_() % host);
+    expect_walk_agrees(m2o::SubcubeEmbedding(p, host, mask, rng_() & mask),
+                       tag + " subcube");
+  }
+}
+
+TEST_F(EdgePathWalk, AgreesWithEdgePathForTorusEmbeddings) {
+  torus::TorusPlanner planner;
+  for (const Shape& s : {Shape{6}, Shape{10, 6}, Shape{5, 7, 4},
+                         Shape{12, 3, 5}, Shape{9, 9}}) {
+    const PlanResult r = planner.plan(s);
+    expect_walk_agrees(*r.embedding, "torus " + s.to_string());
+  }
+}
+
+TEST_F(EdgePathWalk, AgreesOnAFullE17Batch) {
+  // The E17 distribution (bench/perf_parallel): rank 1-3, axes 2..32.
+  std::mt19937_64 rng(0xE17);
+  std::uniform_int_distribution<u64> axis(2, 32);
+  std::uniform_int_distribution<u32> rank(1, 3);
+  std::vector<Shape> shapes;
+  for (int i = 0; i < 2000; ++i) {
+    SmallVec<u64, 4> ext;
+    const u32 k = rank(rng);
+    for (u32 d = 0; d < k; ++d) ext.push_back(axis(rng));
+    shapes.push_back(Shape{ext});
+  }
+  const std::vector<PlanResult> plans = plan_batch(shapes);
+  u64 non_unit = 0;
+  for (const PlanResult& p : plans) {
+    non_unit += !p.embedding->unit_paths();
+    expect_walk_agrees(*p.embedding, p.plan);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(non_unit, 400u);  // the walk is what verify() reads for these
+}
+
+}  // namespace
+}  // namespace hj

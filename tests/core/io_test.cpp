@@ -171,5 +171,94 @@ TEST(Io, LoadMissingFileThrows) {
                std::invalid_argument);
 }
 
+// Strict parsing: each form below used to decode (and verify as valid).
+// The message must name the offending line.
+void expect_rejected_at(const std::string& text, int line) {
+  try {
+    (void)from_text(text);
+    ADD_FAILURE() << "accepted:\n" << text;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+const std::string kSquare = "hjembed 1\nshape 2 2\nwrap 0 0\ncube 2\n";
+
+TEST(Io, RejectsWrapPathOnAxisWithoutWrapEdges) {
+  // The stored path belongs to no edge of the guest.
+  expect_rejected_at(kSquare + "map 0 1 3 2\npath 1 1 1 1 0\nend\n", 6);
+  // A wrapped axis of length 2 has no wrap edge either.
+  expect_rejected_at("hjembed 1\nshape 2 2\nwrap 0 1\ncube 2\n"
+                     "map 0 1 3 2\npath 1 1 1 1 0\nend\n",
+                     6);
+}
+
+TEST(Io, RejectsWrapFlagsOtherThanZeroOrOne) {
+  expect_rejected_at("hjembed 1\nshape 2 2\nwrap 0 7\ncube 2\n"
+                     "map 0 1 3 2\nend\n",
+                     3);
+  expect_rejected_at(kSquare + "map 0 1 3 2\npath 0 1 2 0 1\nend\n", 6);
+}
+
+TEST(Io, RejectsExtraMapEntry) {
+  expect_rejected_at(kSquare + "map 0 1 3 2 0\nend\n", 5);
+}
+
+TEST(Io, RejectsExtraTokensOnHeaderWrapAndCubeLines) {
+  const std::string tail = "map 0 1 3 2\nend\n";
+  expect_rejected_at("hjembed 1 1\nshape 2 2\nwrap 0 0\ncube 2\n" + tail,
+                     1);
+  expect_rejected_at("hjembed 1\nshape 2 2\nwrap 0 0 0\ncube 2\n" + tail,
+                     3);
+  expect_rejected_at("hjembed 1\nshape 2 2\nwrap 0 0\ncube 2 2\n" + tail,
+                     4);
+  expect_rejected_at(kSquare + "map 0 1 3 2\nend end\n", 6);
+}
+
+TEST(Io, RejectsContentAfterEnd) {
+  expect_rejected_at(kSquare + "map 0 1 3 2\nend\npath 0 0 0 0 1\n", 7);
+  expect_rejected_at(kSquare + "map 0 1 3 2\nend\n\nend\n", 8);
+  // Trailing blank lines are still fine.
+  EXPECT_NO_THROW((void)from_text(kSquare + "map 0 1 3 2\nend\n\n \n"));
+}
+
+TEST(Io, RejectsNegativeNumbers) {
+  // An istream read "-1" as 2^64-1; from_chars refuses the sign.
+  expect_rejected_at("hjembed 1\nshape 2 -1\nwrap 0 0\ncube 2\n"
+                     "map 0 1 3 2\nend\n",
+                     2);
+  expect_rejected_at("hjembed 1\nshape 2 2\nwrap 0 -1\ncube 2\n"
+                     "map 0 1 3 2\nend\n",
+                     3);
+  expect_rejected_at("hjembed 1\nshape 2 2\nwrap 0 0\ncube -1\n"
+                     "map 0 1 3 2\nend\n",
+                     4);
+  expect_rejected_at(kSquare + "map 0 1 3 -1\nend\n", 5);
+  expect_rejected_at(kSquare + "map 0 1 3 2\npath -1 0 0 0 1\nend\n", 6);
+  expect_rejected_at(kSquare + "map 0 1 3 2\npath 0 0 0 0 -1\nend\n", 6);
+}
+
+TEST(Io, WriteTextOutputsStillDecodeByteForByte) {
+  // Every writer output must pass the strict parser and re-encode to the
+  // same bytes: Gray, a direct table with paths, a product and a torus
+  // (wrap paths on wrapping axes of length > 2).
+  torus::TorusPlanner planner;
+  const std::vector<EmbeddingPtr> embs = {
+      std::make_shared<GrayEmbedding>(Mesh(Shape{3, 5})),
+      *direct_embedding(Shape{7, 9}),
+      std::make_shared<MeshProductEmbedding>(
+          std::make_shared<GrayEmbedding>(Mesh(Shape{4, 2})),
+          *direct_embedding(Shape{3, 5})),
+      planner.plan(Shape{6, 10}).embedding,
+      planner.plan(Shape{5, 7, 4}).embedding,
+  };
+  for (const EmbeddingPtr& e : embs) {
+    const std::string text = to_text(*e);
+    EXPECT_EQ(to_text(*from_text(text)), text);
+  }
+}
+
 }  // namespace
 }  // namespace hj::io

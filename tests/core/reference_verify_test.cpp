@@ -1,0 +1,371 @@
+// An independent reference checker for verify(), compared field by field.
+//
+// reference_verify() is deliberately naive: per-node virtual map(), the
+// per-edge virtual edge_path() in for_each_edge order, std::map for loads
+// and link use, no arena, no map_all, no path walk and no unit-path scan.
+// Every certificate the system issues (planner results under every
+// objective, relabels, decoded store records, fault-avoiding and degraded
+// plans, verify_batch) must agree with it, and seeded mutants of
+// certified embeddings must be rejected by both, naming the same edge.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdio>
+#include <map>
+#include <random>
+#include <string>
+
+#include "core/io.hpp"
+#include "core/planner.hpp"
+#include "core/verify.hpp"
+#include "manytoone/manytoone.hpp"
+
+namespace hj {
+namespace {
+
+struct RefReport {
+  bool valid = true;
+  std::vector<std::string> errors;
+  u64 load_factor = 0;
+  u32 dilation = 0;
+  u32 congestion = 0;
+  u64 wirelength = 0;
+  double avg_dilation = 0;
+  double avg_congestion = 0;
+  std::vector<u64> dilation_histogram;
+  std::vector<u64> congestion_histogram;
+  u64 faulted_nodes = 0;
+  u64 faulted_paths = 0;
+  bool fault_free = true;
+};
+
+void bump(std::vector<u64>& hist, u64 bin) {
+  if (hist.size() <= bin) hist.resize(bin + 1, 0);
+  ++hist[bin];
+}
+
+RefReport reference_verify(const Embedding& emb, const FaultSet* faults) {
+  RefReport r;
+  const Mesh& guest = emb.guest();
+  const u64 cube = u64{1} << emb.host_dim();
+  const auto error = [&](std::string msg) {
+    r.valid = false;
+    if (r.errors.size() < 8) r.errors.push_back(std::move(msg));
+  };
+  const auto failed = [&](CubeNode v) {
+    return faults != nullptr && faults->node_failed(v);
+  };
+
+  std::map<CubeNode, u64> load;
+  for (MeshIndex i = 0; i < guest.num_nodes(); ++i) {
+    const CubeNode v = emb.map(i);
+    if (v >= cube) {
+      error("node " + std::to_string(i) + " mapped outside the cube");
+      continue;
+    }
+    if (failed(v)) {
+      ++r.faulted_nodes;
+      r.fault_free = false;
+    }
+    r.load_factor = std::max(r.load_factor, ++load[v]);
+  }
+  if (emb.one_to_one() && r.load_factor > 1)
+    error("embedding claims one-to-one but load factor is " +
+          std::to_string(r.load_factor));
+
+  std::map<std::pair<CubeNode, CubeNode>, u64> use;
+  u64 bad = 0;
+  guest.for_each_edge([&](const MeshEdge& e) {
+    const CubePath p = emb.edge_path(e);
+    bool ok = !p.empty() && p.front() == emb.map(e.a) &&
+              p.back() == emb.map(e.b);
+    for (std::size_t i = 0; ok && i + 1 < p.size(); ++i)
+      ok = std::popcount(p[i] ^ p[i + 1]) == 1 && p[i + 1] < cube;
+    if (!ok) {
+      if (bad++ == 0)
+        error("invalid path for edge (" + std::to_string(e.a) + "," +
+              std::to_string(e.b) + ") on axis " + std::to_string(e.axis));
+      return;
+    }
+    const u64 d = p.size() - 1;
+    bump(r.dilation_histogram, d);
+    r.dilation = std::max(r.dilation, static_cast<u32>(d));
+    r.wirelength += d;
+    bool hit = false;
+    for (CubeNode v : p) hit = hit || failed(v);
+    for (std::size_t i = 0; i + 1 < p.size(); ++i) {
+      const CubeNode a = std::min(p[i], p[i + 1]);
+      const CubeNode b = std::max(p[i], p[i + 1]);
+      ++use[{a, b}];
+      hit = hit || (faults != nullptr && faults->link_failed(a, b));
+    }
+    if (hit) {
+      ++r.faulted_paths;
+      r.fault_free = false;
+    }
+  });
+  if (bad > 1) error(std::to_string(bad) + " invalid edge paths in total");
+
+  const u64 host_edges = cube / 2 * emb.host_dim();
+  if (host_edges > 0)
+    r.congestion_histogram.assign(1, host_edges - use.size());
+  for (const auto& [link, c] : use) {
+    r.congestion = std::max(r.congestion, static_cast<u32>(c));
+    bump(r.congestion_histogram, c);
+  }
+  const u64 edges = guest.num_edges();
+  r.avg_dilation = edges ? static_cast<double>(r.wirelength) /
+                               static_cast<double>(edges)
+                         : 0.0;
+  r.avg_congestion = host_edges ? static_cast<double>(r.wirelength) /
+                                      static_cast<double>(host_edges)
+                                : 0.0;
+  return r;
+}
+
+/// Every field both checkers compute must agree.
+void compare(const VerifyReport& v, const RefReport& r,
+             const std::string& what) {
+  const auto check = [&](bool same, const char* field) {
+    if (!same)
+      ADD_FAILURE() << what << ": verify() and the reference differ on "
+                    << field;
+  };
+  check(v.valid == r.valid, "valid");
+  check(v.errors == r.errors, "errors");
+  check(v.load_factor == r.load_factor, "load_factor");
+  check(v.dilation == r.dilation, "dilation");
+  check(v.congestion == r.congestion, "congestion");
+  check(v.wirelength == r.wirelength, "wirelength");
+  check(v.avg_dilation == r.avg_dilation, "avg_dilation");
+  check(v.avg_congestion == r.avg_congestion, "avg_congestion");
+  check(v.dilation_histogram == r.dilation_histogram, "dilation_histogram");
+  check(v.congestion_histogram == r.congestion_histogram,
+        "congestion_histogram");
+  check(v.faulted_nodes == r.faulted_nodes, "faulted_nodes");
+  check(v.faulted_paths == r.faulted_paths, "faulted_paths");
+  check(v.fault_free == r.fault_free, "fault_free");
+}
+
+void expect_agrees(const Embedding& emb, const std::string& what) {
+  compare(verify(emb), reference_verify(emb, nullptr), what);
+}
+
+void expect_agrees(const Embedding& emb, const FaultSet& faults,
+                   const std::string& what) {
+  compare(verify(emb, faults), reference_verify(emb, &faults), what);
+}
+
+/// `count` shapes of the E17 distribution (rank 1-3, axes 2..32).
+std::vector<Shape> e17_shapes(std::size_t count) {
+  std::mt19937_64 rng(0xE17);
+  std::uniform_int_distribution<u64> axis(2, 32);
+  std::uniform_int_distribution<u32> rank(1, 3);
+  std::vector<Shape> shapes;
+  for (std::size_t i = 0; i < count; ++i) {
+    SmallVec<u64, 4> ext;
+    const u32 k = rank(rng);
+    for (u32 d = 0; d < k; ++d) ext.push_back(axis(rng));
+    shapes.push_back(Shape{ext});
+  }
+  return shapes;
+}
+
+const std::vector<Shape> kShapes = {
+    Shape{3, 5},   Shape{7, 9},     Shape{11, 11},  Shape{3, 3, 7},
+    Shape{5, 6, 7}, Shape{6, 10, 12}, Shape{12, 20}, Shape{9, 9, 9},
+};
+
+TEST(ReferenceVerify, AgreesOnE17PlansAndTheirRelabels) {
+  const std::vector<PlanResult> plans = plan_batch(e17_shapes(300));
+  for (const PlanResult& p : plans) {
+    const RefReport ref = reference_verify(*p.embedding, nullptr);
+    compare(p.report, ref, "certificate of " + p.plan);
+    compare(verify(*p.embedding), ref, p.plan);
+    // Relabel to the reversed axis order (plan_batch already relabelled
+    // every non-canonical request).
+    SmallVec<u64, 4> rev = p.embedding->guest().shape().extents();
+    std::reverse(rev.begin(), rev.end());
+    const PlanResult q = relabel_plan(p, Shape{rev});
+    compare(q.report, reference_verify(*q.embedding, nullptr), q.plan);
+  }
+}
+
+TEST(ReferenceVerify, AgreesForEveryPlannerObjective) {
+  for (u32 o = 0; o < cost::kNumObjectives; ++o) {
+    PlannerOptions opts;
+    opts.objective = static_cast<cost::Objective>(o);
+    Planner planner(opts);
+    for (const Shape& s : kShapes) {
+      const PlanResult p = planner.plan(s);
+      compare(p.report, reference_verify(*p.embedding, nullptr), p.plan);
+    }
+  }
+}
+
+TEST(ReferenceVerify, AgreesOnDecodedPlans) {
+  Planner planner;
+  for (const Shape& s : kShapes) {
+    const PlanResult p = planner.plan(s);
+    expect_agrees(*io::from_text(io::to_text(*p.embedding)),
+                  "decoded " + p.plan);
+  }
+}
+
+TEST(ReferenceVerify, AgreesOnFaultAvoidingAndDegradedPlans) {
+  Planner planner;
+  planner.set_degrade_provider(m2o::make_degrade_provider());
+  std::mt19937_64 rng(0x0AC1E);
+  u32 planned = 0;
+  for (const Shape& s : kShapes) {
+    const u32 n = planner.plan(s).embedding->host_dim();
+    for (int trial = 0; trial < 4; ++trial) {
+      FaultSet faults;
+      for (int f = 0; f <= trial; ++f) {
+        const CubeNode a = rng() % (u64{1} << n);
+        if (rng() & 1)
+          faults.fail_node(a);
+        else
+          faults.fail_link(a, a ^ (u64{1} << (rng() % n)));
+      }
+      PlanResult p;
+      try {
+        p = planner.plan_avoiding(s, faults);
+      } catch (const std::invalid_argument&) {
+        continue;  // no rung avoids these faults
+      }
+      ++planned;
+      const std::string what = p.plan + " trial " + std::to_string(trial);
+      compare(p.report, reference_verify(*p.embedding, &faults), what);
+      expect_agrees(*p.embedding, "fault-free view of " + what);
+    }
+  }
+  EXPECT_GT(planned, kShapes.size() * 3);
+  // A full cube with a dead node forces the many-to-one rung.
+  FaultSet faults;
+  faults.fail_node(5);
+  const PlanResult p = planner.plan_avoiding(Shape{4, 4, 4}, faults);
+  ASSERT_NE(p.plan.find("degrade"), std::string::npos) << p.plan;
+  compare(p.report, reference_verify(*p.embedding, &faults), p.plan);
+  // The planned embedding, unrepaired, is exposed to the faults.
+  const PlanResult base = planner.plan(Shape{4, 4, 4});
+  expect_agrees(*base.embedding, faults, "faulted " + base.plan);
+  EXPECT_FALSE(verify(*base.embedding, faults).fault_free);
+}
+
+TEST(ReferenceVerify, VerifyBatchAgrees) {
+  // verify_batch runs verify() concurrently on the par:: pool, each
+  // worker walking its own embeddings' edge paths.
+  std::vector<EmbeddingPtr> embs;
+  for (const PlanResult& p : plan_batch(e17_shapes(200)))
+    embs.push_back(p.embedding);
+  const std::vector<VerifyReport> reports = verify_batch(embs);
+  FaultSet faults;
+  for (CubeNode v = 0; v < 64; v += 9) faults.fail_node(v);
+  faults.fail_link(2, 3);
+  const std::vector<VerifyReport> faulted = verify_batch(embs, faults);
+  ASSERT_EQ(reports.size(), embs.size());
+  ASSERT_EQ(faulted.size(), embs.size());
+  for (std::size_t i = 0; i < embs.size(); ++i) {
+    const std::string what = "batch entry " + std::to_string(i);
+    compare(reports[i], reference_verify(*embs[i], nullptr), what);
+    compare(faulted[i], reference_verify(*embs[i], &faults), what + " faulted");
+  }
+}
+
+// --- Mutants ----------------------------------------------------------------
+
+enum class Mutation { BrokenHop, WrongEndpoint, OffHost, TwoBrokenHops };
+
+/// A certified embedding with one or two edge paths corrupted. Its walk
+/// visits edges in reverse for_each_edge order, so verify() must still
+/// name the lowest-slot bad edge, as the reference does.
+class Mutant final : public Embedding {
+ public:
+  Mutant(EmbeddingPtr base, Mutation m, MeshEdge e1, MeshEdge e2)
+      : Embedding(base->guest(), base->host_dim()),
+        base_(std::move(base)),
+        m_(m),
+        e1_(e1),
+        e2_(e2) {}
+
+  CubeNode map(MeshIndex i) const override { return base_->map(i); }
+  bool one_to_one() const noexcept override { return base_->one_to_one(); }
+
+  CubePath edge_path(const MeshEdge& e) const override {
+    CubePath p = base_->edge_path(e);
+    const bool hit1 = e.a == e1_.a && e.axis == e1_.axis;
+    const bool hit2 = e.a == e2_.a && e.axis == e2_.axis;
+    if (!hit1 && !(hit2 && m_ == Mutation::TwoBrokenHops)) return p;
+    CubePath q;
+    switch (m_) {
+      case Mutation::BrokenHop:
+      case Mutation::TwoBrokenHops:
+        // p0 -> p0^3 is no cube edge (two bits differ).
+        q.push_back(p[0]);
+        q.push_back(p[0] ^ 3);
+        for (CubeNode v : p) q.push_back(v);
+        return q;
+      case Mutation::WrongEndpoint:
+        p.push_back(p.back() ^ 1);  // one more hop, to a neighbour
+        return p;
+      case Mutation::OffHost: {
+        // Out along bit host_dim and straight back: every hop is a cube
+        // edge, but the middle node lies outside the host.
+        const CubeNode out = p.back() ^ (CubeNode{1} << host_dim());
+        p.push_back(out);
+        p.push_back(out ^ (CubeNode{1} << host_dim()));
+        return p;
+      }
+    }
+    return p;
+  }
+
+  void for_each_edge_path(const EdgePathFn& fn) const override {
+    const std::vector<MeshEdge> edges = guest().edges();
+    for (auto it = edges.rbegin(); it != edges.rend(); ++it)
+      fn(*it, edge_path(*it));
+  }
+
+ private:
+  EmbeddingPtr base_;
+  Mutation m_;
+  MeshEdge e1_, e2_;
+};
+
+TEST(ReferenceVerify, MutantsAreKilledByBoth) {
+  Planner planner;
+  std::mt19937_64 rng(0x3D7A47);
+  u32 mutants = 0, killed = 0;
+  for (const Shape& s : kShapes) {
+    const PlanResult p = planner.plan(s);
+    ASSERT_TRUE(p.report.valid) << p.plan;
+    const std::vector<MeshEdge> edges = p.embedding->guest().edges();
+    for (Mutation m : {Mutation::BrokenHop, Mutation::WrongEndpoint,
+                       Mutation::OffHost, Mutation::TwoBrokenHops}) {
+      const MeshEdge e1 = edges[rng() % edges.size()];
+      MeshEdge e2 = edges[rng() % edges.size()];
+      while (e2.a == e1.a && e2.axis == e1.axis)
+        e2 = edges[rng() % edges.size()];
+      const Mutant mutant(p.embedding, m, e1, e2);
+      const std::string what =
+          p.plan + " mutation " + std::to_string(static_cast<int>(m));
+      const VerifyReport v = verify(mutant);
+      const RefReport r = reference_verify(mutant, nullptr);
+      ++mutants;
+      killed += !v.valid && !r.valid;
+      EXPECT_FALSE(v.valid) << what;
+      EXPECT_FALSE(r.valid) << what;
+      ASSERT_FALSE(v.errors.empty()) << what;
+      ASSERT_FALSE(r.errors.empty()) << what;
+      EXPECT_EQ(v.errors.front(), r.errors.front()) << what;
+      compare(v, r, what);
+    }
+  }
+  std::printf("reference checker: %u/%u mutants killed by both checkers\n",
+              killed, mutants);
+  EXPECT_EQ(killed, mutants);
+}
+
+}  // namespace
+}  // namespace hj
