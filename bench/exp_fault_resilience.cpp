@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <string>
 
-#include "core/io.hpp"
 #include "core/planner.hpp"
 #include "core/router.hpp"
 #include "hypersim/network.hpp"
@@ -104,7 +103,7 @@ int main() {
           const GrayEmbedding gray{Mesh(shape)};
           const FaultSet faults =
               random_links(gray.host_dim(), links, seed);
-          auto emb = io::from_text(io::to_text(gray));
+          auto emb = ExplicitEmbedding::copy_of(gray);
           (void)route_minimize_congestion(*emb);
           (void)route_around_faults(*emb, faults);
           row(name.c_str(), "gray", links, trial, verify(*emb, faults),

@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "core/direct.hpp"
-#include "core/io.hpp"
 #include "core/planner.hpp"
 #include "core/router.hpp"
 #include "core/verify.hpp"
@@ -18,19 +17,19 @@ using namespace hj;
 namespace {
 
 void compare(const char* label, const Embedding& source) {
-  // Materialize the node map, then route three ways.
-  auto text_emb = io::from_text(io::to_text(source));
-  const Mesh& guest = text_emb->guest();
-  const std::vector<CubeNode>& map = text_emb->node_map();
+  // Take the node map, then route three ways.
+  const Mesh& guest = source.guest();
+  std::vector<CubeNode> map;
+  source.map_all(map);
 
-  ExplicitEmbedding ecube(guest, text_emb->host_dim(), map);
+  ExplicitEmbedding ecube(guest, source.host_dim(), map);
   const VerifyReport r0 = verify(ecube);
 
-  ExplicitEmbedding greedy(guest, text_emb->host_dim(), map);
+  ExplicitEmbedding greedy(guest, source.host_dim(), map);
   route_minimize_congestion(greedy, /*max_passes=*/0);
   const VerifyReport r1 = verify(greedy);
 
-  ExplicitEmbedding routed(guest, text_emb->host_dim(), map);
+  ExplicitEmbedding routed(guest, source.host_dim(), map);
   const RouteStats stats = route_minimize_congestion(routed);
   const VerifyReport r2 = verify(routed);
 

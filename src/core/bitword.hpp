@@ -19,6 +19,29 @@
 
 namespace hj {
 
+/// Every mask of exactly `k` set bits among bit positions [0, n), in
+/// lexicographic order of the bit positions ({0,1}, {0,2}, ..., {1,2},
+/// ...): C(n, k) masks, {0} for k = 0 and none for k > n. Callers that
+/// pick the first mask passing a test depend on this order, so it is not
+/// the numeric order of the masks.
+[[nodiscard]] inline std::vector<u64> masks_of_weight(u32 n, u32 k) {
+  std::vector<u64> out;
+  if (k > n) return out;
+  std::vector<u32> bits(k);
+  for (u32 i = 0; i < k; ++i) bits[i] = i;
+  for (;;) {
+    u64 mask = 0;
+    for (const u32 b : bits) mask |= u64{1} << b;
+    out.push_back(mask);
+    // Advance the last position that can still move; re-pack the rest.
+    u32 i = k;
+    while (i > 0 && bits[i - 1] + (k - i) + 1 >= n) --i;
+    if (i == 0) return out;
+    ++bits[i - 1];
+    for (u32 j = i; j < k; ++j) bits[j] = bits[j - 1] + 1;
+  }
+}
+
 /// Fixed-universe bit set over [0, size). All operations are O(1) except
 /// the whole-set sweeps (count / for_each_set / reset), which run over
 /// size/64 words. Not thread-safe; intended as per-thread scratch.

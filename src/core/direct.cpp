@@ -42,19 +42,9 @@ class TableSet {
     for (std::size_t i = 0; i < shapes_.size(); ++i) {
       if (!(shapes_[i] == key)) continue;
       if (shape == key) return built_[i];
-      // Each table axis takes the first free target axis of its length;
-      // the match is total because the table shape is `shape` squeezed
-      // and sorted.
-      SmallVec<u32, 4> axis_of_base;
-      std::vector<bool> taken(shape.dims(), false);
-      for (u32 b = 0; b < key.dims(); ++b) {
-        u32 t = 0;
-        while (taken[t] || shape[t] != key[b]) ++t;
-        taken[t] = true;
-        axis_of_base.push_back(t);
-      }
-      return std::make_shared<RelabelEmbedding>(built_[i], shape,
-                                                std::move(axis_of_base));
+      // The table shape is `shape` squeezed and sorted, so the relabel
+      // onto `shape` is total.
+      return RelabelEmbedding::onto(built_[i], shape);
     }
     return std::nullopt;
   }

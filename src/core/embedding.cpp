@@ -48,10 +48,25 @@ void GrayEmbedding::for_each_edge_path(const EdgePathFn& fn) const {
   });
 }
 
+std::shared_ptr<ExplicitEmbedding> ExplicitEmbedding::copy_of(
+    const Embedding& emb) {
+  std::vector<CubeNode> map;
+  emb.map_all(map);
+  auto out = std::make_shared<ExplicitEmbedding>(emb.guest(), emb.host_dim(),
+                                                 std::move(map));
+  const std::vector<CubeNode>& nm = out->map_;
+  emb.for_each_edge_path([&](const MeshEdge& e, const CubePath& p) {
+    if (p != Hypercube::ecube_path(nm[e.a], nm[e.b]))
+      out->paths_.emplace_back(out->path_key(e), p);
+  });
+  std::sort(out->paths_.begin(), out->paths_.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  return out;
+}
+
 CubePath ExplicitEmbedding::edge_path(const MeshEdge& e) const {
   const u64 key = path_key(e);
   if (!paths_.empty()) {
-    assert(paths_sorted_);
     auto it = std::lower_bound(
         paths_.begin(), paths_.end(), key,
         [](const auto& kv, u64 k) { return kv.first < k; });
@@ -79,7 +94,6 @@ void ExplicitEmbedding::for_each_edge_path(const EdgePathFn& fn) const {
   // Node-major, axes ascending: exactly the order of path_key, so one
   // forward merge over the sorted overrides replaces a lower_bound per
   // edge.
-  assert(paths_sorted_);
   const Mesh& g = guest();
   const Shape& s = g.shape();
   const u32 k = s.dims();

@@ -174,6 +174,12 @@ class ExplicitEmbedding final : public Embedding {
       require(v < cube, "ExplicitEmbedding: node map exceeds the cube");
   }
 
+  /// A freely mutable copy of any embedding: its node map plus every
+  /// edge path that is not the default e-cube route, read in one bulk
+  /// for_each_edge_path walk and sorted once. Paths are copied as they
+  /// are; verify() judges them.
+  static std::shared_ptr<ExplicitEmbedding> copy_of(const Embedding& emb);
+
   [[nodiscard]] CubeNode map(MeshIndex idx) const override {
     return map_[idx];
   }
@@ -204,7 +210,6 @@ class ExplicitEmbedding final : public Embedding {
   // entry. Sorted vector keeps lookups cache-friendly and allocation-free
   // after construction.
   std::vector<std::pair<u64, CubePath>> paths_;
-  bool paths_sorted_ = true;
 };
 
 /// The cube route from mesh node `u` to its mesh neighbor `w`, following

@@ -446,13 +446,13 @@ PlanResult Planner::plan_avoiding(const Shape& shape, const FaultSet& faults) {
     auto emb = std::make_shared<ExplicitEmbedding>(Mesh(shape), n,
                                                    std::move(m));
     route_minimize_congestion(*emb);
-    const DetourStats d = route_around_faults(*emb, faults);
-    if (!d.ok) return std::nullopt;
-    VerifyReport r = verify(*emb, faults);
-    if (!r.valid || !r.fault_free) return std::nullopt;
+    // Detour budget 2, no dilation cap: the planner rungs trade dilation
+    // for availability.
+    auto routed = route_and_certify(std::move(emb), faults, 2, ~u32{0});
+    if (!routed) return std::nullopt;
     std::string desc = base_plan;
-    if (d.detoured_edges)
-      desc = "detour[" + std::to_string(d.detoured_edges) + "](" + desc + ")";
+    if (const u64 d = routed->detour.detoured_edges)
+      desc = "detour[" + std::to_string(d) + "](" + desc + ")";
     if (t) {
       char buf[32];
       std::snprintf(buf, sizeof buf, "remap[xor 0x%llx]",
@@ -460,8 +460,8 @@ PlanResult Planner::plan_avoiding(const Shape& shape, const FaultSet& faults) {
       desc = std::string(buf) + "(" + desc + ")";
     }
     PlanResult out;
-    out.embedding = std::move(emb);
-    out.report = std::move(r);
+    out.embedding = std::move(routed->embedding);
+    out.report = std::move(routed->report);
     out.plan = std::move(desc);
     return out;
   };
@@ -517,35 +517,12 @@ bool Planner::achieves_minimal_dil2(const Shape& shape) {
   return e.cube == shape.minimal_cube_dim() && e.dil <= 2;
 }
 
-namespace {
-
-/// Axis map for RelabelEmbedding: base axis i (of the canonical sorted
-/// shape) -> the first not-yet-used target axis of equal length. The
-/// greedy match is total because target is a permutation of base.
-SmallVec<u32, 4> permutation_to(const Shape& base, const Shape& target) {
-  SmallVec<u32, 4> axis_of_base(base.dims(), 0);
-  SmallVec<u8, 4> used(target.dims(), 0);
-  for (u32 i = 0; i < base.dims(); ++i) {
-    for (u32 t = 0; t < target.dims(); ++t) {
-      if (!used[t] && target[t] == base[i]) {
-        axis_of_base[i] = t;
-        used[t] = 1;
-        break;
-      }
-    }
-  }
-  return axis_of_base;
-}
-
-}  // namespace
-
 PlanResult relabel_plan(const PlanResult& canon, const Shape& target) {
   const Shape& base_shape = canon.embedding->guest().shape();
   if (target == base_shape) return canon;
   require(target.sorted() == base_shape.sorted(),
           "relabel_plan: target is not an axis permutation of the plan");
-  auto relabeled = std::make_shared<RelabelEmbedding>(
-      canon.embedding, target, permutation_to(base_shape, target));
+  auto relabeled = RelabelEmbedding::onto(canon.embedding, target);
   PlanResult out;
   out.report = verify(*relabeled);
   out.embedding = std::move(relabeled);

@@ -259,22 +259,21 @@ RelabelEmbedding::RelabelEmbedding(EmbeddingPtr base, Shape target,
             "RelabelEmbedding: unmapped target axis must have length 1");
 }
 
-std::shared_ptr<RelabelEmbedding> RelabelEmbedding::lift(EmbeddingPtr base,
+std::shared_ptr<RelabelEmbedding> RelabelEmbedding::onto(EmbeddingPtr base,
                                                          const Shape& target) {
-  const Shape sb = base->guest().shape();
+  const Shape& sb = base->guest().shape();
   SmallVec<u32, 4> axis_of_base;
-  u32 bi = 0;
-  for (u32 t = 0; t < target.dims() && bi < sb.dims(); ++t) {
-    if (target[t] == sb[bi]) {
-      axis_of_base.push_back(t);
-      ++bi;
-    } else {
-      require(target[t] == 1,
-              "RelabelEmbedding::lift: target axes must match base axes in "
-              "order, with 1s elsewhere");
-    }
+  SmallVec<u8, 4> taken(target.dims(), 0);
+  for (u32 b = 0; b < sb.dims(); ++b) {
+    u32 t = 0;
+    while (t < target.dims() && (taken[t] || target[t] != sb[b])) ++t;
+    require(t < target.dims(),
+            "RelabelEmbedding::onto: no free target axis of length %llu",
+            static_cast<unsigned long long>(sb[b]));
+    taken[t] = 1;
+    axis_of_base.push_back(t);
   }
-  require(bi == sb.dims(), "RelabelEmbedding::lift: base axes left over");
+  // The constructor rejects a left-over target axis longer than 1.
   return std::make_shared<RelabelEmbedding>(std::move(base), target,
                                             std::move(axis_of_base));
 }

@@ -70,9 +70,11 @@ class RelabelEmbedding final : public Embedding {
   RelabelEmbedding(EmbeddingPtr base, Shape target,
                    SmallVec<u32, 4> axis_of_base);
 
-  /// Convenience: spread the base axes over `target` in order, matching
-  /// lengths greedily (non-1 target axes must match base axes in order).
-  static std::shared_ptr<RelabelEmbedding> lift(EmbeddingPtr base,
+  /// The relabel of `base` onto `target`: each base axis takes the first
+  /// free target axis of its length. Throws unless every target axis left
+  /// over has length 1, i.e. unless `target` is `base`'s shape with its
+  /// axes permuted and length-1 axes inserted.
+  static std::shared_ptr<RelabelEmbedding> onto(EmbeddingPtr base,
                                                 const Shape& target);
 
   [[nodiscard]] CubeNode map(MeshIndex idx) const override;

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <unordered_set>
 
+#include "core/bitword.hpp"
 #include "core/product.hpp"
 #include "core/router.hpp"
 #include "obs/obs.hpp"
@@ -38,69 +39,6 @@ class RungObs {
   const RepairResult* result_;
   bool on_;
 };
-
-/// Materialize any embedding as a freely mutable ExplicitEmbedding: the
-/// node map plus every edge path that is not the default e-cube route.
-/// Edges are walked node-major (source node, then axis) — the order of
-/// ExplicitEmbedding's path keys — so every override appends.
-std::shared_ptr<ExplicitEmbedding> materialize(const Embedding& emb) {
-  std::vector<CubeNode> map;
-  emb.map_all(map);
-  auto out = std::make_shared<ExplicitEmbedding>(emb.guest(), emb.host_dim(),
-                                                 std::move(map));
-  const std::vector<CubeNode>& nm = out->node_map();
-  const Mesh& g = emb.guest();
-  const Shape& s = g.shape();
-  const u32 k = s.dims();
-  Coord c(k, 0);
-  for (MeshIndex a = 0; a < s.num_nodes(); ++a) {
-    for (u32 axis = 0; axis < k; ++axis) {
-      // The edge keyed (a, axis), as Mesh::for_each_edge orients it.
-      const u64 l = s[axis];
-      const u64 stride = s.stride(axis);
-      MeshEdge e{a, a + stride, axis, false};
-      if (c[axis] + 1 == l) {
-        if (!g.wraps(axis) || l <= 2) continue;
-        e = MeshEdge{a, a - (l - 1) * stride, axis, true};
-      }
-      CubePath p = emb.edge_path(e);
-      if (p != Hypercube::ecube_path(nm[e.a], nm[e.b]))
-        out->set_edge_path(e, std::move(p));
-    }
-    for (u32 j = k; j-- > 0;) {
-      if (++c[j] < s[j]) break;
-      c[j] = 0;
-    }
-  }
-  return out;
-}
-
-/// All addresses at Hamming distance exactly `r` from `v` inside Q_n,
-/// ascending. C(n, r) candidates; r is the (small) migration radius.
-std::vector<CubeNode> candidates_at_radius(CubeNode v, u32 n, u32 r) {
-  std::vector<CubeNode> out;
-  std::vector<u32> bits(r);
-  for (u32 i = 0; i < r; ++i) bits[i] = i;
-  if (r == 0 || r > n) return out;
-  for (;;) {
-    CubeNode mask = 0;
-    for (u32 b : bits) mask |= u64{1} << b;
-    out.push_back(v ^ mask);
-    // Next r-combination of {0..n-1} in lexicographic order.
-    u32 i = r;
-    while (i-- > 0) {
-      if (bits[i] + (r - i) < n) {
-        ++bits[i];
-        for (u32 j = i + 1; j < r; ++j) bits[j] = bits[j - 1] + 1;
-        break;
-      }
-      if (i == 0) {
-        std::sort(out.begin(), out.end());
-        return out;
-      }
-    }
-  }
-}
 
 /// Healthy host count of Q_n under `faults` (failed addresses outside
 /// the cube do not count against it).
@@ -185,20 +123,17 @@ RepairResult RecoveryController::try_reroute(const Embedding& current,
   out.rung = Rung::Reroute;
   HJ_SPAN("recovery.reroute");
   const RungObs rung_obs("reroute", out);
-  auto repaired = materialize(current);
-  const DetourStats detour =
-      route_around_faults(*repaired, faults, opts_.detour_budget);
-  if (!detour.ok) return out;
-  VerifyReport rep = verify(*repaired, faults);
-  if (!rep.valid || !rep.fault_free || rep.dilation > dilation_budget)
-    return out;
+  // Start from the current paths: only the faulted ones are detoured.
+  auto routed = route_and_certify(ExplicitEmbedding::copy_of(current), faults,
+                                  opts_.detour_budget, dilation_budget);
+  if (!routed) return out;
   out.ok = true;
-  out.embedding = std::move(repaired);
-  out.report = std::move(rep);
+  out.embedding = std::move(routed->embedding);
+  out.report = std::move(routed->report);
   char buf[96];
   std::snprintf(buf, sizeof buf, "reroute(%llu detours, +%u dil)",
-                static_cast<unsigned long long>(detour.detoured_edges),
-                detour.max_added_dilation);
+                static_cast<unsigned long long>(routed->detour.detoured_edges),
+                routed->detour.max_added_dilation);
   out.desc = buf;
   return out;
 }
@@ -235,7 +170,10 @@ RepairResult RecoveryController::try_migrate(const Embedding& current,
     CubeNode spare = old;
     bool found = false;
     for (u32 r = 1; r <= opts_.max_migration_radius && !found; ++r) {
-      const std::vector<CubeNode> ring = candidates_at_radius(old, n, r);
+      // The addresses at Hamming distance r, ascending.
+      std::vector<CubeNode> ring = masks_of_weight(n, r);
+      for (CubeNode& cand : ring) cand ^= old;
+      std::sort(ring.begin(), ring.end());
       for (int same_factor = 1; same_factor >= 0 && !found; --same_factor) {
         for (const CubeNode cand : ring) {
           const bool same = (cand & outer_mask) == (old & outer_mask);
@@ -254,20 +192,15 @@ RepairResult RecoveryController::try_migrate(const Embedding& current,
     ++out.moved_nodes;
   }
 
-  auto repaired = std::make_shared<ExplicitEmbedding>(
-      current.guest(), n, std::move(node_map));
-  route_minimize_congestion(*repaired);
-  const DetourStats detour =
-      route_around_faults(*repaired, faults, opts_.detour_budget);
-  RepairResult gave_up;
-  gave_up.rung = Rung::Migrate;
-  if (!detour.ok) return gave_up;
-  VerifyReport rep = verify(*repaired, faults);
-  if (!rep.valid || !rep.fault_free || rep.dilation > dilation_budget)
-    return gave_up;
+  auto moved = std::make_shared<ExplicitEmbedding>(current.guest(), n,
+                                                   std::move(node_map));
+  route_minimize_congestion(*moved);
+  auto routed = route_and_certify(std::move(moved), faults,
+                                  opts_.detour_budget, dilation_budget);
+  if (!routed) return out;
   out.ok = true;
-  out.embedding = std::move(repaired);
-  out.report = std::move(rep);
+  out.embedding = std::move(routed->embedding);
+  out.report = std::move(routed->report);
   char buf[96];
   std::snprintf(buf, sizeof buf, "migrate(%llu nodes, cost %llu)",
                 static_cast<unsigned long long>(out.moved_nodes),

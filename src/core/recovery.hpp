@@ -20,10 +20,12 @@
 //       under the fresh plan; always the most disruptive rung.
 //
 // Every rung's outcome is re-certified by verify() against the updated
-// FaultSet before it may be chosen; rungs (a) and (b) must additionally
-// stay within `baseline_dilation + max_dilation_increase` (a detour in a
-// cube adds an even number of hops, so an uncontrolled detour chain can
-// silently double dilation — the budget forces escalation instead). The
+// FaultSet before it may be chosen: rungs (a) and (b) hand their
+// candidate to route_and_certify (core/router.hpp), the repair kernel the
+// planner's own rungs use too, and must additionally stay within
+// `baseline_dilation + max_dilation_increase` (a detour in a cube adds an
+// even number of hops, so an uncontrolled detour chain can silently
+// double dilation — the budget forces escalation instead). The
 // controller picks the cheapest certified rung by migration cost.
 //
 // Sustained pressure (fault storms, DESIGN §10) adds guard rails:
@@ -175,8 +177,8 @@ class RecoveryController {
 
 /// Host-bit width of the inner factor when `emb` is a product plan
 /// (MeshProductEmbedding), else 0. Callers cache this before the first
-/// repair: repaired embeddings are materialized (ExplicitEmbedding) and
-/// no longer expose their factor structure.
+/// repair: repaired embeddings are explicit copies (ExplicitEmbedding)
+/// and no longer expose their factor structure.
 [[nodiscard]] u32 inner_factor_dim(const Embedding& emb);
 
 /// A proof that no certified one-to-one repair of `shape` into the

@@ -14,6 +14,13 @@ struct TwoHopEdge {
   u32 choice = 0;    // current midpoint index
 };
 
+/// A Hamming-distance-2 edge image with its two candidate midpoints.
+TwoHopEdge two_hop(const MeshEdge& e, CubeNode a, CubeNode b) {
+  const u64 diff = a ^ b;
+  const u64 bit1 = diff & (~diff + 1);
+  return TwoHopEdge{e, a, b, {a ^ bit1, a ^ (diff ^ bit1)}, 0};
+}
+
 /// Load per cube link. Cubes up to Hypercube::kDenseLinkDimLimit keep a
 /// dense table indexed by Hypercube::dense_link_index with a first-touch
 /// dirty list, so the aggregates visit only links ever loaded (the layout
@@ -86,6 +93,48 @@ u64 midpoint_cost(const LinkLoads& loads, CubeNode a, CubeNode m, CubeNode b) {
   return (u64{std::max(l1, l2)} << 32) | (l1 + l2);
 }
 
+/// The cheaper midpoint of `t` under `loads`; ties keep midpoint 0.
+u32 cheaper_midpoint(const LinkLoads& loads, const TwoHopEdge& t) {
+  return midpoint_cost(loads, t.a, t.mid[0], t.b) <=
+                 midpoint_cost(loads, t.a, t.mid[1], t.b)
+             ? 0u
+             : 1u;
+}
+
+/// Add `delta` to the load of every link along `path`.
+void load_path(LinkLoads& loads, const CubePath& path, i32 delta) {
+  for (std::size_t i = 0; i + 1 < path.size(); ++i)
+    loads.add(path[i], path[i + 1], delta);
+}
+
+/// Load both links of the midpoint `t` currently routes through.
+void load_midpoint(LinkLoads& loads, const TwoHopEdge& t, i32 delta) {
+  loads.add(t.a, t.mid[t.choice], delta);
+  loads.add(t.mid[t.choice], t.b, delta);
+}
+
+/// Local improvement shared by both routers: re-evaluate each two-hop
+/// choice with the edge's own load removed, until a pass changes nothing
+/// or `max_passes` ran. Fills passes_used and rerouted_edges.
+void improve_midpoints(LinkLoads& loads, std::vector<TwoHopEdge>& twos,
+                       u32 max_passes, RouteStats& stats) {
+  for (u32 pass = 0; pass < max_passes; ++pass) {
+    bool changed = false;
+    for (TwoHopEdge& t : twos) {
+      load_midpoint(loads, t, -1);
+      const u32 best = cheaper_midpoint(loads, t);
+      if (best != t.choice) {
+        t.choice = best;
+        changed = true;
+        ++stats.rerouted_edges;
+      }
+      load_midpoint(loads, t, 1);
+    }
+    stats.passes_used = pass + 1;
+    if (!changed) break;
+  }
+}
+
 }  // namespace
 
 RouteStats route_minimize_congestion(ExplicitEmbedding& emb, u32 max_passes) {
@@ -102,52 +151,21 @@ RouteStats route_minimize_congestion(ExplicitEmbedding& emb, u32 max_passes) {
       return;
     }
     if (h == 2) {
-      const u64 diff = a ^ b;
-      const u64 bit1 = diff & (~diff + 1);
-      const u64 bit2 = diff ^ bit1;
-      TwoHopEdge t{e, a, b, {a ^ bit1, a ^ bit2}, 0};
-      twos.push_back(t);
+      twos.push_back(two_hop(e, a, b));
       return;
     }
     // Longer edges: keep the default e-cube route, but load its links so
     // midpoint choices below see them.
-    const CubePath p = Hypercube::ecube_path(a, b);
-    for (std::size_t i = 0; i + 1 < p.size(); ++i)
-      loads.add(p[i], p[i + 1], 1);
+    load_path(loads, Hypercube::ecube_path(a, b), 1);
   });
 
   // Greedy initial assignment, most-constrained (fewest fresh links) first
   // is overkill here; simple order with cost-based choice works well.
   for (TwoHopEdge& t : twos) {
-    t.choice = midpoint_cost(loads, t.a, t.mid[0], t.b) <=
-                       midpoint_cost(loads, t.a, t.mid[1], t.b)
-                   ? 0u
-                   : 1u;
-    loads.add(t.a, t.mid[t.choice], 1);
-    loads.add(t.mid[t.choice], t.b, 1);
+    t.choice = cheaper_midpoint(loads, t);
+    load_midpoint(loads, t, 1);
   }
-
-  // Local improvement: re-evaluate each choice with the edge removed.
-  for (u32 pass = 0; pass < max_passes; ++pass) {
-    bool changed = false;
-    for (TwoHopEdge& t : twos) {
-      loads.add(t.a, t.mid[t.choice], -1);
-      loads.add(t.mid[t.choice], t.b, -1);
-      const u32 best = midpoint_cost(loads, t.a, t.mid[0], t.b) <=
-                               midpoint_cost(loads, t.a, t.mid[1], t.b)
-                           ? 0u
-                           : 1u;
-      if (best != t.choice) {
-        t.choice = best;
-        changed = true;
-        ++stats.rerouted_edges;
-      }
-      loads.add(t.a, t.mid[t.choice], 1);
-      loads.add(t.mid[t.choice], t.b, 1);
-    }
-    stats.passes_used = pass + 1;
-    if (!changed) break;
-  }
+  improve_midpoints(loads, twos, max_passes, stats);
 
   for (const TwoHopEdge& t : twos)
     emb.set_edge_path(t.edge, CubePath{t.a, t.mid[t.choice], t.b});
@@ -241,42 +259,17 @@ RouteStats route_balanced(ExplicitEmbedding& emb, u32 candidates,
     for (std::size_t i = 0; i < longs.size(); ++i) {
       const LongEdge& e = longs[i];
       paths[i] = prio_path(e.a, e.b, prio);
-      for (std::size_t j = 0; j + 1 < paths[i].size(); ++j)
-        loads.add(paths[i][j], paths[i][j + 1], 1);
+      load_path(loads, paths[i], 1);
       if (paths[i].size() == 3) {
-        const u64 diff = e.a ^ e.b;
-        const u64 bit1 = diff & (~diff + 1);
-        const u64 bit2 = diff ^ bit1;
-        TwoHopEdge t{e.edge, e.a, e.b, {e.a ^ bit1, e.a ^ bit2}, 0};
+        TwoHopEdge t = two_hop(e.edge, e.a, e.b);
         t.choice = paths[i][1] == t.mid[0] ? 0u : 1u;
         twos.push_back(t);
         two_slot.push_back(i);
       }
     }
 
-    // The same local improvement as route_minimize_congestion, on this
-    // candidate's loads.
     RouteStats cand_stats;
-    for (u32 pass = 0; pass < max_passes; ++pass) {
-      bool changed = false;
-      for (TwoHopEdge& t : twos) {
-        loads.add(t.a, t.mid[t.choice], -1);
-        loads.add(t.mid[t.choice], t.b, -1);
-        const u32 best = midpoint_cost(loads, t.a, t.mid[0], t.b) <=
-                                 midpoint_cost(loads, t.a, t.mid[1], t.b)
-                             ? 0u
-                             : 1u;
-        if (best != t.choice) {
-          t.choice = best;
-          changed = true;
-          ++cand_stats.rerouted_edges;
-        }
-        loads.add(t.a, t.mid[t.choice], 1);
-        loads.add(t.mid[t.choice], t.b, 1);
-      }
-      cand_stats.passes_used = pass + 1;
-      if (!changed) break;
-    }
+    improve_midpoints(loads, twos, max_passes, cand_stats);
     for (std::size_t j = 0; j < twos.size(); ++j)
       paths[two_slot[j]] =
           CubePath{twos[j].a, twos[j].mid[twos[j].choice], twos[j].b};
@@ -431,10 +424,9 @@ DetourStats route_around_faults(ExplicitEmbedding& emb, const FaultSet& faults,
   std::vector<Affected> affected;
 
   emb.guest().for_each_edge([&](const MeshEdge& e) {
-    CubePath p = emb.edge_path(e);
+    const CubePath p = emb.edge_path(e);
     if (faults.path_avoids(p)) {
-      for (std::size_t i = 0; i + 1 < p.size(); ++i)
-        loads.add(p[i], p[i + 1], 1);
+      load_path(loads, p, 1);
       return;
     }
     const CubeNode a = emb.map(e.a), b = emb.map(e.b);
@@ -456,8 +448,7 @@ DetourStats route_around_faults(ExplicitEmbedding& emb, const FaultSet& faults,
       stats.ok = false;
       continue;
     }
-    for (std::size_t i = 0; i + 1 < f.path.size(); ++i)
-      loads.add(f.path[i], f.path[i + 1], 1);
+    load_path(loads, f.path, 1);
   }
 
   // Local improvement over the detoured edges: re-route each with its own
@@ -466,16 +457,14 @@ DetourStats route_around_faults(ExplicitEmbedding& emb, const FaultSet& faults,
     bool changed = false;
     for (Affected& f : affected) {
       if (f.path.empty()) continue;
-      for (std::size_t i = 0; i + 1 < f.path.size(); ++i)
-        loads.add(f.path[i], f.path[i + 1], -1);
+      load_path(loads, f.path, -1);
       const u32 budget = hamming(f.a, f.b) + max_added_dilation;
       CubePath fresh = find_detour(dim, loads, faults, f.a, f.b, budget);
       if (!fresh.empty() && path_cost(loads, fresh) < path_cost(loads, f.path)) {
         f.path = std::move(fresh);
         changed = true;
       }
-      for (std::size_t i = 0; i + 1 < f.path.size(); ++i)
-        loads.add(f.path[i], f.path[i + 1], 1);
+      load_path(loads, f.path, 1);
     }
     if (!changed) break;
   }
@@ -490,6 +479,18 @@ DetourStats route_around_faults(ExplicitEmbedding& emb, const FaultSet& faults,
   }
   stats.congestion = loads.max_load();
   return stats;
+}
+
+std::optional<CertifiedRoute> route_and_certify(
+    std::shared_ptr<ExplicitEmbedding> candidate, const FaultSet& faults,
+    u32 detour_budget, u32 max_dilation) {
+  const DetourStats detour =
+      route_around_faults(*candidate, faults, detour_budget);
+  if (!detour.ok) return std::nullopt;
+  VerifyReport report = verify(*candidate, faults);
+  if (!report.valid || !report.fault_free || report.dilation > max_dilation)
+    return std::nullopt;
+  return CertifiedRoute{std::move(candidate), std::move(report), detour};
 }
 
 }  // namespace hj

@@ -7,8 +7,12 @@
 // assignment followed by local-improvement passes.
 #pragma once
 
+#include <memory>
+#include <optional>
+
 #include "core/embedding.hpp"
 #include "core/fault.hpp"
+#include "core/verify.hpp"
 
 namespace hj {
 
@@ -64,5 +68,24 @@ DetourStats route_around_faults(ExplicitEmbedding& emb,
                                 const FaultSet& faults,
                                 u32 max_added_dilation = 2,
                                 u32 max_passes = 16);
+
+/// A fault-avoiding candidate that passed route_and_certify.
+struct CertifiedRoute {
+  std::shared_ptr<ExplicitEmbedding> embedding;
+  VerifyReport report;  // verify(*embedding, faults)
+  DetourStats detour;
+};
+
+/// The one repair kernel: every fault-avoiding placement (the recovery
+/// ladder's reroute and migrate rungs, the planner's detour and XOR-remap
+/// rungs) is accepted here and nowhere else. Detours `candidate`'s
+/// faulted paths in place (route_around_faults with `detour_budget`),
+/// then certifies it with one verify(*candidate, faults); a caller that
+/// keeps its own reference sees the routed candidate either way. Returns
+/// the candidate only if every detour was found and the result is valid,
+/// fault-free and of dilation at most `max_dilation`; nullopt otherwise.
+[[nodiscard]] std::optional<CertifiedRoute> route_and_certify(
+    std::shared_ptr<ExplicitEmbedding> candidate, const FaultSet& faults,
+    u32 detour_budget, u32 max_dilation);
 
 }  // namespace hj

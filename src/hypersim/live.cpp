@@ -29,7 +29,7 @@ LiveRunResult run_stencil_with_recovery(EmbeddingPtr base,
   result.embedding = base;
 
   // The pre-fault certificate fixes the d of the d+1 repair guarantee,
-  // and the product structure (lost once a repair materializes the
+  // and the product structure (lost once a repair copies the
   // embedding) is cached up front for spare-search preference.
   const u32 baseline_dilation = verify(*base).dilation;
   const u32 factor_dim = recovery::inner_factor_dim(*base);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/bitword.hpp"
 #include "core/product.hpp"
 
 namespace hj::m2o {
@@ -267,36 +268,20 @@ DegradeProvider make_degrade_provider() {
     // machine and roughly doubles the load factor.
     u64 mask = 0, value = 0;
     bool found = false;
-    for (u32 k = 1; k <= 3 && k <= n && !found; ++k) {
-      SmallVec<u32, 4> bits(k, 0);
-      for (u32 i = 0; i < k; ++i) bits[i] = i;
-      for (;;) {
-        u64 m = 0;
-        for (u32 i = 0; i < k; ++i) m |= u64{1} << bits[i];
-        for (u64 sub = 0; sub < (u64{1} << k); ++sub) {
-          // Scatter `sub` over the chosen bit positions.
-          u64 v = 0;
-          for (u32 i = 0; i < k; ++i)
-            if (sub & (u64{1} << i)) v |= u64{1} << bits[i];
+    for (u32 k = 1; k <= 3 && !found; ++k) {
+      for (const u64 m : masks_of_weight(n, k)) {
+        for (u64 sub = 0; sub < (u64{1} << k) && !found; ++sub) {
+          // Scatter `sub` over the set bits of `m`, lowest first.
+          u64 v = 0, rest = m;
+          for (u32 i = 0; i < k; ++i, rest &= rest - 1)
+            if (sub >> i & 1) v |= rest & (~rest + 1);
           if (healthy(m, v)) {
             mask = m;
             value = v;
             found = true;
-            break;
           }
         }
         if (found) break;
-        // Next k-combination of bit positions.
-        bool advanced = false;
-        for (u32 i = k; i-- > 0;) {
-          if (bits[i] + (k - i) < n) {
-            ++bits[i];
-            for (u32 j = i + 1; j < k; ++j) bits[j] = bits[j - 1] + 1;
-            advanced = true;
-            break;
-          }
-        }
-        if (!advanced) break;
       }
     }
     if (!found) return std::nullopt;

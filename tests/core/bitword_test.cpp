@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <random>
 #include <set>
 #include <vector>
@@ -182,6 +183,43 @@ TEST(Bitword, DensePopulationAtStormCellSize) {
     ++expect;
   });
   EXPECT_EQ(expect, n);
+}
+
+// --- masks_of_weight --------------------------------------------------------
+
+TEST(MasksOfWeight, LexicographicInBitPositions) {
+  // {0,1} {0,2} {0,3} {1,2} {1,3} {2,3}: not numeric order (6 < 9).
+  const std::vector<u64> want = {0x3, 0x5, 0x9, 0x6, 0xa, 0xc};
+  EXPECT_EQ(masks_of_weight(4, 2), want);
+  EXPECT_EQ(masks_of_weight(3, 1), (std::vector<u64>{1, 2, 4}));
+  EXPECT_EQ(masks_of_weight(3, 3), (std::vector<u64>{7}));
+}
+
+TEST(MasksOfWeight, CountsAndEdgeCases) {
+  EXPECT_EQ(masks_of_weight(5, 0), (std::vector<u64>{0}));
+  EXPECT_EQ(masks_of_weight(0, 0), (std::vector<u64>{0}));
+  EXPECT_TRUE(masks_of_weight(3, 4).empty());
+  EXPECT_TRUE(masks_of_weight(0, 1).empty());
+  u64 binom[13][13] = {};
+  for (u32 n = 0; n <= 12; ++n) {
+    binom[n][0] = 1;
+    for (u32 k = 1; k <= n; ++k)
+      binom[n][k] = binom[n - 1][k - 1] + (k < n ? binom[n - 1][k] : 0);
+  }
+  for (u32 n = 0; n <= 12; ++n) {
+    for (u32 k = 0; k <= n; ++k) {
+      const std::vector<u64> masks = masks_of_weight(n, k);
+      EXPECT_EQ(masks.size(), binom[n][k]) << n << " choose " << k;
+      std::set<u64> distinct(masks.begin(), masks.end());
+      EXPECT_EQ(distinct.size(), masks.size());
+      for (const u64 m : masks) {
+        EXPECT_EQ(std::popcount(m), static_cast<int>(k));
+        EXPECT_LT(m, u64{1} << n);
+      }
+    }
+  }
+  // Top bit of a 63-bit universe.
+  EXPECT_EQ(masks_of_weight(63, 1).back(), u64{1} << 62);
 }
 
 }  // namespace

@@ -192,5 +192,29 @@ TEST_F(EdgePathWalk, AgreesOnAFullE17Batch) {
   EXPECT_GT(non_unit, 400u);  // the walk is what verify() reads for these
 }
 
+TEST_F(EdgePathWalk, CopyOfKeepsEveryNodeAndPath) {
+  // ExplicitEmbedding::copy_of reads the walk once and sorts what it
+  // kept; the copy must map every node and route every edge as the
+  // original does, through edge_path() and through its own walk.
+  std::vector<Shape> shapes = {Shape{7, 9, 15}, Shape{3, 3, 7},
+                               Shape{21, 9, 5}, Shape{11, 13, 23}};
+  for (u32 i = 0; i < 40; ++i) shapes.push_back(shape(1 + i % 3, 24));
+  for (const PlanResult& p : plan_batch(shapes)) {
+    const Embedding& emb = *p.embedding;
+    const auto copy = ExplicitEmbedding::copy_of(emb);
+    std::vector<CubeNode> want;
+    emb.map_all(want);
+    EXPECT_EQ(copy->node_map(), want) << p.plan;
+    u64 differ = 0;
+    emb.guest().for_each_edge([&](const MeshEdge& e) {
+      const CubePath path = emb.edge_path(e);
+      if (!(copy->edge_path(e) == path)) ++differ;
+    });
+    EXPECT_EQ(differ, 0u) << p.plan;
+    expect_walk_agrees(*copy, "copy of " + p.plan);
+    if (HasFailure()) return;
+  }
+}
+
 }  // namespace
 }  // namespace hj

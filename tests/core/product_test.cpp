@@ -113,8 +113,8 @@ TEST(Product, PaperExample21x9x5ViaRelabel) {
   // Section 4.2: embedding a 21x9x5 mesh from a 7x9 and a 3x5 embedding:
   // (7x9x1) x (3x1x5). Using Gray factors here; the direct-table version
   // with minimal expansion lives in the planner tests.
-  auto f79 = RelabelEmbedding::lift(gray_of(Shape{7, 9}), Shape{7, 9, 1});
-  auto f35 = RelabelEmbedding::lift(gray_of(Shape{3, 5}), Shape{3, 1, 5});
+  auto f79 = RelabelEmbedding::onto(gray_of(Shape{7, 9}), Shape{7, 9, 1});
+  auto f35 = RelabelEmbedding::onto(gray_of(Shape{3, 5}), Shape{3, 1, 5});
   MeshProductEmbedding emb(f79, f35);
   EXPECT_EQ(emb.guest().shape(), (Shape{21, 9, 5}));
   VerifyReport r = verify(emb);
@@ -125,7 +125,7 @@ TEST(Product, PaperExample21x9x5ViaRelabel) {
 
 TEST(Product, RelabelPreservesMetrics) {
   auto base = dil2_line3();
-  auto lifted = RelabelEmbedding::lift(base, Shape{1, 3, 1});
+  auto lifted = RelabelEmbedding::onto(base, Shape{1, 3, 1});
   VerifyReport r0 = verify(*base), r1 = verify(*lifted);
   EXPECT_TRUE(r1.valid);
   EXPECT_EQ(r0.dilation, r1.dilation);
@@ -134,17 +134,32 @@ TEST(Product, RelabelPreservesMetrics) {
 }
 
 TEST(Product, RelabelRejectsBadLift) {
-  EXPECT_THROW(RelabelEmbedding::lift(gray_of(Shape{3, 5}), Shape{5, 3, 1}),
+  // A left-over target axis longer than 1 has no base axis to carry it.
+  EXPECT_THROW(RelabelEmbedding::onto(gray_of(Shape{3, 5}), Shape{3, 2, 5}),
                std::invalid_argument);
-  EXPECT_THROW(RelabelEmbedding::lift(gray_of(Shape{3, 5}), Shape{3, 2, 5}),
+  EXPECT_THROW(RelabelEmbedding::onto(gray_of(Shape{3, 5}), Shape{3, 7}),
                std::invalid_argument);
+}
+
+TEST(Product, RelabelOntoPermutesAxes) {
+  // Each base axis takes the first free target axis of its length, so
+  // 3x5 onto 5x3x1 swaps the axes: target node (x, y, 0) is base (y, x).
+  const auto base = gray_of(Shape{3, 5});
+  const auto swapped = RelabelEmbedding::onto(base, Shape{5, 3, 1});
+  const VerifyReport r = verify(*swapped);
+  EXPECT_TRUE(r.valid);
+  EXPECT_EQ(r.dilation, verify(*base).dilation);
+  for (u64 x = 0; x < 5; ++x)
+    for (u64 y = 0; y < 3; ++y)
+      EXPECT_EQ(swapped->map(Shape{5, 3, 1}.index(Coord{x, y, 0})),
+                base->map(Shape{3, 5}.index(Coord{y, x})));
 }
 
 TEST(Product, SubmeshExtension) {
   // Strategy 3 of Section 4.2: a 3x3x23 mesh rides in a 3x3x25 embedding.
   auto big = std::make_shared<MeshProductEmbedding>(
-      RelabelEmbedding::lift(gray_of(Shape{3, 3, 5}), Shape{3, 3, 5}),
-      RelabelEmbedding::lift(gray_of(Shape{5}), Shape{1, 1, 5}));
+      RelabelEmbedding::onto(gray_of(Shape{3, 3, 5}), Shape{3, 3, 5}),
+      RelabelEmbedding::onto(gray_of(Shape{5}), Shape{1, 1, 5}));
   EXPECT_EQ(big->guest().shape(), (Shape{3, 3, 25}));
   SubmeshEmbedding emb(big, Shape{3, 3, 23});
   VerifyReport r = verify(emb);

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <random>
 #include <thread>
 #include <utility>
 
@@ -368,6 +370,193 @@ TEST(RecoveryConcurrency, ControllersShareCacheWithVerifyBatch) {
     ASSERT_TRUE(results[t].ok) << "worker " << t;
     EXPECT_TRUE(results[t].report.fault_free);
   }
+}
+
+// --- Golden repairs: every rung's choice is pinned --------------------------
+
+/// FNV-1a over every guest edge's (endpoints, axis, cube path), in edge
+/// order: any change to a chosen node or path moves it.
+u64 path_digest(const Embedding& emb) {
+  u64 h = 0xcbf29ce484222325ull;
+  const auto mix = [&](u64 v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
+    }
+  };
+  emb.guest().for_each_edge([&](const MeshEdge& e) {
+    mix(e.a);
+    mix(e.b);
+    mix(e.axis);
+    const CubePath p = emb.edge_path(e);
+    mix(p.size());
+    for (const CubeNode v : p) mix(v);
+  });
+  return h;
+}
+
+/// `count` seeded faults on the hardware `emb` uses: a link under a
+/// random edge path, or the host of a random guest node. Draws use raw mt19937_64 output (no distribution), so the
+/// faults are the same under every standard library.
+FaultSet seeded_faults(const Embedding& emb, bool nodes, u32 count,
+                       u64 seed) {
+  std::mt19937_64 rng(seed);
+  const std::vector<MeshEdge> edges = emb.guest().edges();
+  FaultSet faults;
+  for (u32 i = 0; i < count; ++i) {
+    if (nodes) {
+      faults.fail_node(emb.map(rng() % emb.guest().num_nodes()));
+      continue;
+    }
+    const CubePath p = emb.edge_path(edges[rng() % edges.size()]);
+    const std::size_t hop = rng() % (p.size() - 1);
+    faults.fail_link(p[hop], p[hop + 1]);
+  }
+  return faults;
+}
+
+std::string repair_line(const RepairResult& r) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, " moved=%llu cost=%llu digest=%016llx",
+                static_cast<unsigned long long>(r.moved_nodes),
+                static_cast<unsigned long long>(r.migration_cost),
+                static_cast<unsigned long long>(
+                    r.ok ? path_digest(*r.embedding) : 0));
+  return (r.ok ? "" : "FAILED ") + r.desc + buf;
+}
+
+TEST(RepairGolden, RungChoicesAndPathsArePinned) {
+  // Each line: one repair of a product plan under seeded faults. Link
+  // faults land on rung (a); node faults on rung (b) on 11x13x23 and on
+  // (c) on 7x9x15, whose nearest spares break the +1 dilation budget;
+  // the same node faults under force_replan pin rung (c) itself. A
+  // refactor of the repair stack must reproduce every description,
+  // migration and path.
+  std::vector<std::string> got;
+  for (const Shape& shape : {Shape{7, 9, 15}, Shape{11, 13, 23}}) {
+    const PlanResult base = plan_shape(shape);
+    const u32 inner = inner_factor_dim(*base.embedding);
+    for (const bool nodes : {false, true}) {
+      for (const u32 count : {1u, 3u, 6u}) {
+        const FaultSet faults =
+            seeded_faults(*base.embedding, nodes, count, 17 * count + nodes);
+        for (const bool force : {false, true}) {
+          if (force && !nodes) continue;
+          RecoveryOptions opts = full_options();
+          opts.force_replan = force;
+          RecoveryController ctl(shape, opts);
+          got.push_back(
+              shape.to_string() + " " + (nodes ? "node" : "link") + "x" +
+              std::to_string(count) + ": " +
+              repair_line(ctl.repair(*base.embedding, faults,
+                                     base.report.dilation, inner)));
+        }
+      }
+    }
+  }
+  const std::vector<std::string> want = {
+      "7x9x15 linkx1: reroute(1 detours, +2 dil) moved=0 cost=0"
+      " digest=b480e609480f2b83",
+      "7x9x15 linkx3: reroute(4 detours, +2 dil) moved=0 cost=0"
+      " digest=90d829f5083903c6",
+      "7x9x15 linkx6: reroute(8 detours, +2 dil) moved=0 cost=0"
+      " digest=b30ae83a3772e782",
+      "7x9x15 nodex1: replan(remap[xor 0xe](detour[1]((direct 1x3x5 * direct"
+      " 7x3x3)))) moved=945 cost=2835 digest=bd08c041462a479e",
+      "7x9x15 nodex1: replan(remap[xor 0xe](detour[1]((direct 1x3x5 * direct"
+      " 7x3x3)))) moved=945 cost=2835 digest=bd08c041462a479e",
+      "7x9x15 nodex3: replan(degrade(contract[1x3x1 * gray 8x4x16] into"
+      " subcube[mask=0x1 val=0x0])) moved=943 cost=4749"
+      " digest=32f307cfcb00c583",
+      "7x9x15 nodex3: replan(degrade(contract[1x3x1 * gray 8x4x16] into"
+      " subcube[mask=0x1 val=0x0])) moved=943 cost=4749"
+      " digest=32f307cfcb00c583",
+      "7x9x15 nodex6: replan(degrade(contract[1x5x1 * gray 8x2x16] into"
+      " subcube[mask=0x9 val=0x9])) moved=941 cost=4716"
+      " digest=b6eed2e7563f909b",
+      "7x9x15 nodex6: replan(degrade(contract[1x5x1 * gray 8x2x16] into"
+      " subcube[mask=0x9 val=0x9])) moved=941 cost=4716"
+      " digest=b6eed2e7563f909b",
+      "11x13x23 linkx1: reroute(1 detours, +2 dil) moved=0 cost=0"
+      " digest=4d2676e03c275482",
+      "11x13x23 linkx3: reroute(3 detours, +2 dil) moved=0 cost=0"
+      " digest=5b441e2ab14e6496",
+      "11x13x23 linkx6: reroute(6 detours, +2 dil) moved=0 cost=0"
+      " digest=e4bafd659bf83f01",
+      "11x13x23 nodex1: migrate(1 nodes, cost 2) moved=1 cost=2"
+      " digest=369e1d813df187e2",
+      "11x13x23 nodex1: replan(remap[xor 0x140](sub<11x13x23>(gray 4x2x8 *"
+      " direct 3x7x3))) moved=3289 cost=6578 digest=a4b27558625403f7",
+      "11x13x23 nodex3: migrate(3 nodes, cost 4) moved=3 cost=4"
+      " digest=a4013325ea32d86b",
+      "11x13x23 nodex3: replan(remap[xor 0x43](detour[1](sub<11x13x23>(gray"
+      " 4x2x8 * direct 3x7x3)))) moved=3289 cost=9867 digest=201e11a264fe3e03",
+      "11x13x23 nodex6: migrate(6 nodes, cost 7) moved=6 cost=7"
+      " digest=3780b09342e2c1e8",
+      "11x13x23 nodex6: replan(degrade(contract[1x1x6 * gray 16x16x4] into"
+      " subcube[mask=0x5 val=0x0])) moved=3285 cost=19662"
+      " digest=003e7e10af2b4191",
+  };
+  EXPECT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], i < want.size() ? want[i] : "") << "line " << i;
+}
+
+TEST(RepairGolden, PlanAvoidingStringsArePinned) {
+  // The planner's rungs: detour[n] under link faults, remap[xor t] under
+  // node faults, degrade(...) once the spares cannot hold the guest.
+  Planner planner;
+  planner.set_direct_provider(search::make_search_provider());
+  planner.set_degrade_provider(m2o::make_degrade_provider());
+  std::vector<std::string> got;
+  for (const Shape& shape : {Shape{7, 9, 15}, Shape{11, 13, 23}}) {
+    const PlanResult base = planner.plan(shape);
+    const std::pair<bool, u32> cases[] = {
+        {false, 2}, {false, 7}, {true, 1}, {true, 4}, {true, 12}};
+    for (const auto& [nodes, count] : cases) {
+      const FaultSet faults =
+          seeded_faults(*base.embedding, nodes, count, 31 * count + nodes);
+      std::string line = shape.to_string() + " " +
+                         (nodes ? "node" : "link") + "x" +
+                         std::to_string(count) + ": ";
+      try {
+        const PlanResult p = planner.plan_avoiding(shape, faults);
+        char buf[32];
+        std::snprintf(
+            buf, sizeof buf, " digest=%016llx",
+            static_cast<unsigned long long>(path_digest(*p.embedding)));
+        line += p.plan + buf;
+      } catch (const std::invalid_argument&) {
+        line += "no plan";
+      }
+      got.push_back(line);
+    }
+  }
+  const std::vector<std::string> want = {
+      "7x9x15 linkx2: detour[3]((direct 1x3x5 * direct 7x3x3))"
+      " digest=9fb8378ba3d0130e",
+      "7x9x15 linkx7: detour[8]((direct 1x3x5 * direct 7x3x3))"
+      " digest=3e358f541ae425ea",
+      "7x9x15 nodex1: remap[xor 0x2](detour[1]((direct 1x3x5 * direct"
+      " 7x3x3))) digest=767d31b268e90466",
+      "7x9x15 nodex4: degrade(contract[1x3x1 * gray 8x4x16] into"
+      " subcube[mask=0x1 val=0x1]) digest=f4c2c917f00aead7",
+      "7x9x15 nodex12: degrade(contract[1x5x1 * gray 8x2x16] into"
+      " subcube[mask=0x41 val=0x40]) digest=eab1c39df533dc1e",
+      "11x13x23 linkx2: detour[2](sub<11x13x23>(gray 4x2x8 * direct 3x7x3))"
+      " digest=6a8ae2bcaa762ee7",
+      "11x13x23 linkx7: detour[7](sub<11x13x23>(gray 4x2x8 * direct 3x7x3))"
+      " digest=565264fd2f566db8",
+      "11x13x23 nodex1: remap[xor 0x7](sub<11x13x23>(gray 4x2x8 * direct"
+      " 3x7x3)) digest=722830e2bc236053",
+      "11x13x23 nodex4: remap[xor 0x1e1](sub<11x13x23>(gray 4x2x8 * direct"
+      " 3x7x3)) digest=78b6e9901163561b",
+      "11x13x23 nodex12: degrade(contract[1x1x6 * gray 16x16x4] into"
+      " subcube[mask=0x3 val=0x2]) digest=04530859b1ac9e4b",
+  };
+  EXPECT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i)
+    EXPECT_EQ(got[i], i < want.size() ? want[i] : "") << "line " << i;
 }
 
 }  // namespace

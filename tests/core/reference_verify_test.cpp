@@ -17,6 +17,7 @@
 
 #include "core/io.hpp"
 #include "core/planner.hpp"
+#include "core/router.hpp"
 #include "core/verify.hpp"
 #include "manytoone/manytoone.hpp"
 
@@ -365,6 +366,117 @@ TEST(ReferenceVerify, MutantsAreKilledByBoth) {
   std::printf("reference checker: %u/%u mutants killed by both checkers\n",
               killed, mutants);
   EXPECT_EQ(killed, mutants);
+}
+
+// --- The repair kernel ------------------------------------------------------
+
+/// `count` seeded faults on the hardware `emb` uses: a link under a
+/// random edge path, or the host of a random guest node.
+FaultSet seeded_faults(const Embedding& emb, bool nodes, u32 count,
+                       u64 seed) {
+  std::mt19937_64 rng(seed);
+  const std::vector<MeshEdge> edges = emb.guest().edges();
+  FaultSet faults;
+  for (u32 i = 0; i < count; ++i) {
+    if (nodes) {
+      faults.fail_node(emb.map(rng() % emb.guest().num_nodes()));
+      continue;
+    }
+    const CubePath p = emb.edge_path(edges[rng() % edges.size()]);
+    const std::size_t hop = rng() % (p.size() - 1);
+    faults.fail_link(p[hop], p[hop + 1]);
+  }
+  return faults;
+}
+
+TEST(ReferenceVerify, RepairKernelVerdictsAgree) {
+  // route_and_certify is the one place a fault-avoiding placement is
+  // accepted. Feed it the candidates its three callers build: reroute's
+  // copy of the current embedding (also of a mutant with a broken path),
+  // migrate's spare moves and plan_avoiding's XOR translations. On each,
+  // accepted or rejected, the naive checker must reach the same verdict
+  // on the routed candidate: valid, fault-free and within the cap.
+  u32 accepted = 0, rejected = 0;
+  const auto judge = [&](std::shared_ptr<ExplicitEmbedding> cand,
+                         const FaultSet& faults, u32 max_dilation,
+                         const std::string& what) {
+    const std::shared_ptr<ExplicitEmbedding> kept = cand;  // routed in place
+    const std::optional<CertifiedRoute> routed =
+        route_and_certify(std::move(cand), faults, 2, max_dilation);
+    const RefReport ref = reference_verify(*kept, &faults);
+    EXPECT_EQ(routed.has_value(),
+              ref.valid && ref.fault_free && ref.dilation <= max_dilation)
+        << what;
+    if (!routed) {
+      ++rejected;
+      return;
+    }
+    ++accepted;
+    EXPECT_EQ(routed->embedding, kept) << what;
+    compare(routed->report, ref, what);
+  };
+
+  Planner planner;
+  for (const Shape& s : {Shape{3, 3, 7}, Shape{5, 6, 7}, Shape{7, 9, 15}}) {
+    const PlanResult base = planner.plan(s);
+    const u32 n = base.embedding->host_dim();
+    const u32 dil = base.report.dilation;
+    std::vector<CubeNode> map;
+    base.embedding->map_all(map);
+    for (const bool nodes : {false, true}) {
+      for (const u32 count : {1u, 3u, 8u}) {
+        const FaultSet faults = seeded_faults(*base.embedding, nodes, count,
+                                              7 * count + nodes);
+        const std::string what = s.to_string() + (nodes ? " node" : " link") +
+                                 "x" + std::to_string(count);
+        // Caps of +0 and +1 hop: a detour adds two, so the cap binds.
+        for (const u32 cap : {dil, dil + 1})
+          judge(ExplicitEmbedding::copy_of(*base.embedding), faults, cap,
+                what + " reroute cap " + std::to_string(cap));
+        // A reroute of a current embedding with one path off its endpoint.
+        const std::vector<MeshEdge> edges = base.embedding->guest().edges();
+        const Mutant broken(base.embedding, Mutation::WrongEndpoint,
+                            edges[count], edges[count + 1]);
+        judge(ExplicitEmbedding::copy_of(broken), faults, dil + 1,
+              what + " reroute of a mutant");
+
+        // Migrate: each displaced node to its first free healthy
+        // neighbour address.
+        std::vector<CubeNode> moved(map);
+        std::vector<bool> used(u64{1} << n, false);
+        for (const CubeNode v : moved) used[v] = true;
+        for (CubeNode& v : moved) {
+          if (!faults.node_failed(v)) continue;
+          for (u32 bit = 0; bit < n; ++bit) {
+            const CubeNode w = v ^ (u64{1} << bit);
+            if (used[w] || faults.node_failed(w)) continue;
+            used[w] = true;
+            v = w;
+            break;
+          }
+        }
+        auto migrated =
+            std::make_shared<ExplicitEmbedding>(Mesh(s), n, std::move(moved));
+        route_minimize_congestion(*migrated);
+        judge(std::move(migrated), faults, dil + 1, what + " migrate");
+
+        // Translations, screened or not: no dilation cap.
+        for (u64 t = 0; t < 8; ++t) {
+          std::vector<CubeNode> m(map);
+          for (CubeNode& v : m) v ^= t;
+          auto translated =
+              std::make_shared<ExplicitEmbedding>(Mesh(s), n, std::move(m));
+          route_minimize_congestion(*translated);
+          judge(std::move(translated), faults, ~u32{0},
+                what + " xor " + std::to_string(t));
+        }
+      }
+    }
+  }
+  std::printf("repair kernel: %u accepted and %u rejected candidates\n",
+              accepted, rejected);
+  EXPECT_GT(accepted, 20u);
+  EXPECT_GT(rejected, 20u);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <set>
 
 #include "core/direct.hpp"
-#include "core/io.hpp"
 #include "core/planner.hpp"
 #include "core/product.hpp"
 #include "core/router.hpp"
@@ -18,11 +17,6 @@
 
 namespace hj::sim {
 namespace {
-
-// Materialize any embedding as an explicit one (the router mutates paths).
-std::shared_ptr<ExplicitEmbedding> materialize(const Embedding& emb) {
-  return io::from_text(io::to_text(emb));
-}
 
 // --- FaultSet / FaultModel basics -----------------------------------------
 
@@ -289,7 +283,7 @@ TEST(SimFaults, RetryExhaustionFailsMessages) {
 TEST(Detour, RoutesAroundFailedLinkOn3x3x3) {
   auto direct = direct_embedding(Shape{3, 3, 3});
   ASSERT_TRUE(direct.has_value());
-  auto emb = materialize(**direct);
+  auto emb = ExplicitEmbedding::copy_of(**direct);
   ASSERT_EQ(emb->host_dim(), 5u);
   const VerifyReport before = verify(*emb);
   ASSERT_TRUE(before.valid);
@@ -323,7 +317,7 @@ TEST(Detour, RoutesAroundFailedLinkOn3x3x3) {
 TEST(Detour, DeadLinkBetweenHealthyNodes) {
   // A link-only fault: both endpoints stay alive, so the node map must be
   // untouched and only the crossing paths may change.
-  auto emb = materialize(GrayEmbedding(Mesh(Shape{4, 4, 4})));
+  auto emb = ExplicitEmbedding::copy_of(GrayEmbedding(Mesh(Shape{4, 4, 4})));
   const VerifyReport before = verify(*emb);
   ASSERT_TRUE(before.valid);
   const std::vector<CubeNode> map_before = emb->node_map();
@@ -363,7 +357,7 @@ TEST(Detour, LinkFaultOnReflectedBoundaryEdge) {
   auto outer = std::make_shared<GrayEmbedding>(Mesh(Shape{1, 2}));
   MeshProductEmbedding product(inner, outer);
   ASSERT_EQ(product.guest().shape(), (Shape{3, 6}));
-  auto emb = materialize(product);
+  auto emb = ExplicitEmbedding::copy_of(product);
   const VerifyReport before = verify(*emb);
   ASSERT_TRUE(before.valid);
 
@@ -396,7 +390,7 @@ TEST(Detour, LinkFaultOnReflectedBoundaryEdge) {
 TEST(Detour, ReportsFailedEndpointAsUnroutable) {
   auto direct = direct_embedding(Shape{3, 3, 3});
   ASSERT_TRUE(direct.has_value());
-  auto emb = materialize(**direct);
+  auto emb = ExplicitEmbedding::copy_of(**direct);
   FaultSet faults;
   faults.fail_node(emb->map(0));  // no detour can save a dead endpoint
   const DetourStats stats = route_around_faults(*emb, faults);
