@@ -518,16 +518,16 @@ bool Planner::achieves_minimal_dil2(const Shape& shape) {
 }
 
 PlanResult relabel_plan(const PlanResult& canon, const Shape& target) {
-  const Shape& base_shape = canon.embedding->guest().shape();
-  if (target == base_shape) return canon;
-  require(target.sorted() == base_shape.sorted(),
+  const Mesh& base = canon.embedding->guest();
+  if (target == base.shape()) return canon;
+  require(target.sorted() == base.shape().sorted(),
           "relabel_plan: target is not an axis permutation of the plan");
-  auto relabeled = RelabelEmbedding::onto(canon.embedding, target);
-  PlanResult out;
-  out.report = verify(*relabeled);
-  out.embedding = std::move(relabeled);
-  out.plan = "perm<" + target.to_string() + ">(" + canon.plan + ")";
-  return out;
+  require(canon.report.guest_nodes == base.num_nodes() &&
+              canon.report.guest_edges == base.num_edges() &&
+              canon.report.host_dim == canon.embedding->host_dim(),
+          "relabel_plan: the report does not certify the plan");
+  return {RelabelEmbedding::onto(canon.embedding, target), canon.report,
+          relabel_desc(target, canon.plan)};
 }
 
 std::vector<PlanResult> plan_batch(const std::vector<Shape>& shapes,
@@ -579,8 +579,8 @@ std::vector<PlanResult> plan_batch(const std::vector<Shape>& shapes,
     });
   }
 
-  // Relabel each canonical plan to the requested axis order. Permuted
-  // outputs are re-verified (the relabelled guest has its own edge set).
+  // Relabel each canonical plan to the requested axis order. A relabel
+  // inherits its canonical plan's certificate (see relabel_plan).
   std::vector<PlanResult> out(shapes.size());
   {
     HJ_SPAN("plan_batch.relabel");

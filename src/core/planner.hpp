@@ -249,8 +249,8 @@ using DirectProviderFactory = std::function<DirectProvider()>;
 /// --threads). Inputs are deduplicated by canonical (sorted) shape —
 /// meshes are isomorphic under axis permutation — so each canonical
 /// class is planned exactly once per batch, then relabeled to the
-/// requested axis order (plan string "perm<l1x...>(...)" when the order
-/// differs). Worker planners share a ShardedPlanCache, so factor meshes
+/// requested axis order with relabel_plan, which keeps the canonical
+/// certificate. Worker planners share a ShardedPlanCache, so factor meshes
 /// recurring across product plans are planned once. Results are in input
 /// order and bit-identical at every thread count.
 ///
@@ -261,14 +261,19 @@ using DirectProviderFactory = std::function<DirectProvider()>;
     const DirectProviderFactory& provider_factory = nullptr,
     ShardedPlanCache* cache = nullptr);
 
-/// Relabel a finished plan to `target`, which must be an axis permutation
-/// of the plan's guest shape. Rebuilds the embedding via RelabelEmbedding,
-/// re-verifies it (the relabelled guest has its own edge set, so the
-/// certificate is re-derived, never copied) and tags the plan string with
-/// "perm<target>(...)". `target` equal to the plan's shape returns the
-/// input unchanged. Shared by plan_batch and the plan store's serve path.
+/// Relabel a finished plan to `target`, an axis permutation of its guest
+/// shape. The relabel keeps the node images and host paths and maps the
+/// edges one-to-one, so it inherits `canon.report` unchanged (DESIGN.md
+/// §13). The checks are O(k): the sorted shapes match, the report
+/// describes `canon.embedding`, and RelabelEmbedding accepts the axis
+/// map. `target` equal to the plan's shape returns `canon`.
 [[nodiscard]] PlanResult relabel_plan(const PlanResult& canon,
                                       const Shape& target);
+
+/// "perm<target>(desc)": the plan string of a relabel (relabel_plan, serve).
+inline std::string relabel_desc(const Shape& target, const std::string& desc) {
+  return "perm<" + target.to_string() + ">(" + desc + ")";
+}
 
 /// Fault-aware batch: `faults[i]` constrains shapes[i] (nullptr or an
 /// empty set means unconstrained). Fault-free entries go through the

@@ -9,7 +9,7 @@
 // the daemon. Every reply carries an explicit verdict:
 //
 //   served-warm  store hit or cache hit; certificate from a verified
-//                store/cached plan (relabelled plans are re-verified too).
+//                store/cached plan (a permuted request inherits it).
 //   served-cold  store miss (or no store attached); planned live.
 //   degraded     store record was corrupt or failed verification; the
 //                record was quarantined and the reply planned live.
@@ -73,7 +73,7 @@ struct ServeOptions {
 /// admission-to-pop wait (run_serve fills it; direct handle() callers
 /// may pass their own); the rest are attributed inside handle():
 /// lookup_us = cache probe + store index lookup, verify_us = record
-/// re-parse + verify() + relabel re-verify, plan_us = live planner.
+/// re-parse + verify() (a permuted request adds none), plan_us = planner.
 struct PhaseUs {
   u64 queue_us = 0;
   u64 lookup_us = 0;

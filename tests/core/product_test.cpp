@@ -141,6 +141,29 @@ TEST(Product, RelabelRejectsBadLift) {
                std::invalid_argument);
 }
 
+TEST(Product, RelabelConstructorAcceptsOnlyIsomorphisms) {
+  // A relabel inherits its base's certificate, so these checks are what
+  // the certificate of every permuted plan rests on.
+  const auto base = gray_of(Shape{3, 5});
+  EXPECT_NO_THROW(RelabelEmbedding(base, Shape{5, 3}, {1, 0}));
+  // Axis length mismatch: base axis 0 (length 3) onto a length-5 axis.
+  EXPECT_THROW(RelabelEmbedding(base, Shape{5, 3}, {0, 1}),
+               std::invalid_argument);
+  // Duplicate target axis: both base axes onto target axis 0.
+  EXPECT_THROW(RelabelEmbedding(gray_of(Shape{3, 3}), Shape{3, 3}, {0, 0}),
+               std::invalid_argument);
+  // Left-over target axis longer than 1 (RelabelRejectsBadLift reaches
+  // the same check through onto()): nothing carries its edges.
+  EXPECT_THROW(RelabelEmbedding(base, Shape{3, 5, 2}, {0, 1}),
+               std::invalid_argument);
+  // Wrapped base: its wraparound edges have no counterpart in the
+  // (unwrapped) relabelled mesh.
+  const auto ring = std::make_shared<ExplicitEmbedding>(
+      Mesh(Shape{4}, SmallVec<u8, 4>{1}), 2, std::vector<CubeNode>{0, 1, 3, 2});
+  ASSERT_TRUE(verify(*ring).valid);
+  EXPECT_THROW(RelabelEmbedding(ring, Shape{4}, {0}), std::invalid_argument);
+}
+
 TEST(Product, RelabelOntoPermutesAxes) {
   // Each base axis takes the first free target axis of its length, so
   // 3x5 onto 5x3x1 swaps the axes: target node (x, y, 0) is base (y, x).

@@ -7,19 +7,28 @@
 // objective, relabels, decoded store records, fault-avoiding and degraded
 // plans, verify_batch) must agree with it, and seeded mutants of
 // certified embeddings must be rejected by both, naming the same edge.
+// A relabel issues no certificate of its own: it inherits its base's, so
+// the relabel gate checks that inheritance on every axis order of every
+// canonical shape the plan store holds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <random>
 #include <string>
 
+#include "core/cost.hpp"
 #include "core/io.hpp"
+#include "core/parallel.hpp"
 #include "core/planner.hpp"
 #include "core/router.hpp"
 #include "core/verify.hpp"
 #include "manytoone/manytoone.hpp"
+#include "search/provider.hpp"
+#include "store/precompute.hpp"
 
 namespace hj {
 namespace {
@@ -272,6 +281,134 @@ TEST(ReferenceVerify, VerifyBatchAgrees) {
     compare(reports[i], reference_verify(*embs[i], nullptr), what);
     compare(faulted[i], reference_verify(*embs[i], &faults), what + " faulted");
   }
+}
+
+// --- Relabels ---------------------------------------------------------------
+
+/// Every VerifyReport field, the bounds included.
+void expect_same_report(const VerifyReport& a, const VerifyReport& b,
+                        const std::string& what) {
+  const auto check = [&](bool same, const char* field) {
+    if (!same) ADD_FAILURE() << what << ": reports differ on " << field;
+  };
+  check(a.valid == b.valid, "valid");
+  check(a.errors == b.errors, "errors");
+  check(a.guest_nodes == b.guest_nodes, "guest_nodes");
+  check(a.guest_edges == b.guest_edges, "guest_edges");
+  check(a.host_dim == b.host_dim, "host_dim");
+  check(a.expansion == b.expansion, "expansion");
+  check(a.minimal_expansion == b.minimal_expansion, "minimal_expansion");
+  check(a.dilation == b.dilation, "dilation");
+  check(a.avg_dilation == b.avg_dilation, "avg_dilation");
+  check(a.dilation_histogram == b.dilation_histogram, "dilation_histogram");
+  check(a.wirelength == b.wirelength, "wirelength");
+  check(a.bounds == b.bounds, "bounds");
+  check(a.congestion == b.congestion, "congestion");
+  check(a.avg_congestion == b.avg_congestion, "avg_congestion");
+  check(a.congestion_histogram == b.congestion_histogram,
+        "congestion_histogram");
+  check(a.load_factor == b.load_factor, "load_factor");
+  check(a.fault_free == b.fault_free, "fault_free");
+  check(a.faulted_nodes == b.faulted_nodes, "faulted_nodes");
+  check(a.faulted_paths == b.faulted_paths, "faulted_paths");
+}
+
+TEST(ReferenceVerify, RelabelsOfEveryCanonicalShapeInheritTheirCertificate) {
+  // The relabel gate. Each canonical shape is planned with the search
+  // provider attached (as the plan store is), so table leaves with
+  // prescribed multi-hop paths are covered, then relabelled to every
+  // other distinct axis order. The inherited report must equal a fresh
+  // verify() and the reference checker of the relabel in every field.
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::vector<Shape> shapes = store::enumerate_canonical_shapes(512, 3);
+  ASSERT_EQ(shapes.size(), 4672u);
+  Planner planner;
+  planner.set_direct_provider(search::make_search_provider());
+  std::vector<PlanResult> relabels;
+  for (const Shape& s : shapes) {
+    const PlanResult base = planner.plan(s);
+    ASSERT_TRUE(base.report.valid) << base.plan;
+    SmallVec<u64, 4> order = s.extents();
+    std::sort(order.begin(), order.end());
+    do {
+      if (Shape{order} == s) continue;
+      relabels.push_back(relabel_plan(base, Shape{order}));
+      expect_same_report(relabels.back().report, base.report,
+                         "inherited by " + relabels.back().plan);
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+  // Relabels share their base, which is immutable: check them on the
+  // par:: pool, each against the base report it inherited.
+  par::parallel_for(0, relabels.size(), 64, [&](u64 lo, u64 hi) {
+    for (u64 i = lo; i < hi; ++i) {
+      const PlanResult& q = relabels[i];
+      expect_same_report(verify(*q.embedding), q.report, q.plan);
+      compare(q.report, reference_verify(*q.embedding, nullptr), q.plan);
+    }
+  });
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  std::printf("relabel gate: %zu relabels of %zu canonical shapes, %.2f s\n",
+              relabels.size(), shapes.size(), secs);
+  EXPECT_EQ(relabels.size(), 11719u);
+}
+
+TEST(ReferenceVerify, RelabelPlanRejectsWhatItCannotCertify) {
+  const PlanResult base = Planner().plan(Shape{3, 5});
+  ASSERT_TRUE(base.report.valid);
+  EXPECT_NO_THROW((void)relabel_plan(base, Shape{5, 3}));
+  // Not an axis permutation: another length, another rank, or a
+  // length-1 axis inserted.
+  for (const Shape& t : {Shape{3, 7}, Shape{15}, Shape{3, 1, 5}})
+    EXPECT_THROW((void)relabel_plan(base, t), std::invalid_argument)
+        << t.to_string();
+  // A default-constructed report certifies nothing, and neither does the
+  // report of another plan.
+  PlanResult uncertified = base;
+  uncertified.report = VerifyReport{};
+  EXPECT_THROW((void)relabel_plan(uncertified, Shape{5, 3}),
+               std::invalid_argument);
+  uncertified.report = Planner().plan(Shape{3, 6}).report;
+  EXPECT_THROW((void)relabel_plan(uncertified, Shape{5, 3}),
+               std::invalid_argument);
+}
+
+TEST(ReferenceVerify, GrayPlansOfPowerOfTwoMeshesMeetTheirBounds) {
+  // Where the cost::Bounds floors are tight the gap is exactly 1.0: a
+  // Gray embedding of a power-of-two mesh fills its cube with dilation 1,
+  // so its wirelength is |E| and its congestion 1 (arXiv 1807.06787).
+  Planner planner;
+  u32 shapes = 0;
+  for (u32 rank = 1; rank <= 3; ++rank) {
+    SmallVec<u32, 4> log(rank, 0);  // odometer over log2 of each axis
+    while (true) {
+      SmallVec<u64, 4> ext;
+      u32 total = 0;
+      for (u32 a : log) {
+        ext.push_back(u64{1} << a);
+        total += a;
+      }
+      if (total <= 10) {
+        const PlanResult p = planner.plan(Shape{ext});
+        const VerifyReport& r = p.report;
+        ++shapes;
+        ASSERT_TRUE(r.valid) << p.plan;
+        EXPECT_EQ(p.plan.rfind("gray", 0), 0u) << p.plan;
+        EXPECT_EQ(cost::gap(r.dilation, r.bounds.dilation), 1.0) << p.plan;
+        EXPECT_EQ(cost::gap(static_cast<double>(r.wirelength),
+                            static_cast<double>(r.bounds.wirelength)),
+                  1.0)
+            << p.plan;
+        EXPECT_EQ(cost::gap(r.congestion, r.bounds.congestion), 1.0)
+            << p.plan;
+      }
+      u32 d = 0;
+      while (d < rank && ++log[d] > 10) log[d++] = 0;
+      if (d == rank) break;
+    }
+  }
+  EXPECT_EQ(shapes, 11u + 66u + 286u);
 }
 
 // --- Mutants ----------------------------------------------------------------

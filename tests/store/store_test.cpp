@@ -344,7 +344,8 @@ TEST(Serve, WarmColdAndRelabelVerdicts) {
   EXPECT_EQ(warm.verdict, Verdict::ServedWarm);
   EXPECT_EQ(warm.cube, 3u);
 
-  // Non-canonical axis order: still warm, relabelled and re-verified.
+  // Non-canonical axis order: still warm; the relabelled reply inherits
+  // the canonical plan's certificate.
   Reply perm = server.handle(Shape{{3, 2}});
   EXPECT_TRUE(perm.ok);
   EXPECT_EQ(perm.verdict, Verdict::ServedWarm);
@@ -356,14 +357,16 @@ TEST(Serve, WarmColdAndRelabelVerdicts) {
   EXPECT_EQ(cold.verdict, Verdict::ServedCold);
 
   // An independent certificate for a reply: the canonical plan from its
-  // store record (or a fresh planner), relabelled to the requested axis
-  // order and verified from scratch.
+  // store record (with that record's own verify() report) or a fresh
+  // planner, relabelled to the requested axis order and verified from
+  // scratch.
   const auto expected = [&](const Shape& shape) {
     const Shape canon = shape.sorted();
     const PlanStore::Lookup hit = store.lookup(Key::of(canon));
     PlanResult base;
     if (hit.status == PlanStore::Status::Hit) {
       base.embedding = io::from_text(hit.record.emb_text);
+      base.report = verify(*base.embedding);
       base.plan = hit.record.plan;
     } else {
       base = Planner().plan(canon);
