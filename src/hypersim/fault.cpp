@@ -1,7 +1,6 @@
 #include "hypersim/fault.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <optional>
@@ -9,16 +8,6 @@
 
 namespace hj::sim {
 namespace {
-
-/// Parse all of `s` strictly: no sign, space or suffix, no overflow.
-template <class T>
-std::optional<T> parse_exact(const std::string& s) {
-  T v{};
-  const char* end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (ec != std::errc{} || ptr != end) return std::nullopt;
-  return v;
-}
 
 u64 parse_u64(const std::string& s) {
   const std::optional<u64> v = parse_exact<u64>(s);
@@ -80,17 +69,6 @@ bool event_less(const FaultEvent& x, const FaultEvent& y) {
   if (x.is_node != y.is_node) return x.is_node;
   if (x.a != y.a) return x.a < y.a;
   return x.b < y.b;
-}
-
-/// splitmix64: the schedule generator must be a pure function of the seed.
-u64 mix64(u64 x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
 #include <optional>
 #include <string>
 #include <vector>
@@ -27,6 +28,35 @@
 #include "core/fault.hpp"
 
 namespace hj::sim {
+
+/// splitmix64's finalizer: a well-mixed 64-bit hash of `x`.
+[[nodiscard]] constexpr u64 mix_bits(u64 x) noexcept {
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
+}
+
+/// splitmix64 of counter `x`. Fault schedules and storms hash counters
+/// with it, so each is a pure function of its seed with no hidden RNG
+/// state.
+[[nodiscard]] constexpr u64 mix64(u64 x) noexcept {
+  return mix_bits(x + 0x9e3779b97f4a7c15ull);
+}
+
+/// All of `s` as a T, strictly: no sign (for unsigned T), space or suffix,
+/// and nothing outside T's range. The fault and storm spec parsers read
+/// every number through it.
+template <class T>
+[[nodiscard]] std::optional<T> parse_exact(const std::string& s) {
+  T v{};
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
+}
 
 /// One flapping (intermittently dead) undirected link: transmissions on
 /// it fail during the first `down` cycles of every `period`-cycle
@@ -118,21 +148,11 @@ class FaultModel {
   /// Pure function of (seed, cycle, link_id): deterministic and order-free.
   [[nodiscard]] bool drops(u64 cycle, u64 link_id) const noexcept {
     if (threshold_ == 0) return false;
-    return mix(seed_ ^ (cycle * 0x9e3779b97f4a7c15ull) ^
-               (link_id * 0xbf58476d1ce4e5b9ull)) < threshold_;
+    return mix_bits(seed_ ^ (cycle * 0x9e3779b97f4a7c15ull) ^
+                    (link_id * 0xbf58476d1ce4e5b9ull)) < threshold_;
   }
 
  private:
-  /// splitmix64 finalizer: a well-mixed 64-bit hash of the counter state.
-  [[nodiscard]] static u64 mix(u64 x) noexcept {
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return x;
-  }
-
   /// Bit of `key` in flap_filter_ (the top six bits of a Fibonacci hash).
   [[nodiscard]] static u32 filter_bit(u64 key) noexcept {
     return static_cast<u32>((key * 0x9e3779b97f4a7c15ull) >> 58);

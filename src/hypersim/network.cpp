@@ -133,6 +133,173 @@ struct Traffic {
   std::vector<u32> dirty;  // links with used != 0
 };
 
+/// What one pass of the cycle kernel leaves beyond Traffic's per-message
+/// state.
+struct CycleOutcome {
+  u64 cycles = 0;  // cycles executed
+  u64 dropped_flits = 0;
+  /// run(): transmission attempts deferred because the link's bandwidth
+  /// was already spent this cycle (a queue-depth proxy).
+  u64 blocked_attempts = 0;
+  u64 deferred_watchdogs = 0;               // run_live(): see LiveEpochResult
+  std::vector<DetectionEvent> detections;  // run_live()
+  bool in_flight = false;  // messages were still active when the loop ended
+};
+
+/// The per-cycle loop of run() and run_live(). A flit crosses hop h this
+/// cycle when the hop is ready (Traffic::ready) and its link has spare
+/// bandwidth. Hops are served destination-first so a flit never moves
+/// twice per cycle; messages are served in id order (deterministic
+/// arbitration). Loop cycle k is absolute cycle start_cycle + k, at which
+/// flapping links and transient drops are read.
+///
+/// Live (run_live): the permanent faults are the model's plus the
+/// schedule's arrivals so far. Nothing is pre-failed: a message crossing a
+/// dead link keeps failing its transmissions until the detection layer or
+/// the watchdog suspects the link, and the loop pauses at the end of that
+/// cycle.
+/// !Live (run): the permanent faults are fixed at cycle 0. A message that
+/// crosses one can never be delivered, so it fails up front with its
+/// dependents instead of stalling the run to max_cycles; no transmission
+/// then meets a dead link, and there is no detection, pause or watchdog.
+template <bool Live>
+CycleOutcome run_cycles(Traffic& t, const std::vector<CubePath>& routes,
+                        u64 start_cycle, const FaultSchedule& schedule) {
+  const SimConfig& cfg = t.cfg;
+  const u32 flits = cfg.message_flits;
+  const FaultModel* faults = cfg.faults;
+  const bool transient = faults && faults->has_transient();
+  const bool flapping = faults && faults->has_flapping();
+  CycleOutcome out;
+
+  // Live: ground-truth hardware state, the faults known before the run
+  // plus every scheduled arrival whose cycle has passed.
+  FaultSet live;
+  std::size_t sched_cursor = 0;
+  // Live watchdog state, per message: loop cycle of the last flit
+  // progress, plus — to tell a dead network from a saturated one — how
+  // many transmission attempts since then were outright *failed*
+  // (dead/flapping link, transient drop) versus merely *blocked* on link
+  // bandwidth already spent by other traffic.
+  std::vector<u64> last_progress, failed_since, blocked_since;
+  // Live detection layer, per link: consecutive failed transmissions,
+  // reset by any success on that link. A dead link never succeeds, so its
+  // counter climbs monotonically to detect_threshold within a few cycles
+  // of the first attempt.
+  std::vector<u32> consec_failures;
+  std::vector<u8> suspected;
+  obs::Histogram* active_hist = nullptr;
+  if constexpr (Live) {
+    if (faults) live = faults->permanent();
+    schedule.apply_until(start_cycle, live, sched_cursor);
+    last_progress.assign(routes.size(), 0);
+    failed_since.assign(routes.size(), 0);
+    blocked_since.assign(routes.size(), 0);
+    consec_failures.assign(t.ids.size(), 0);
+    suspected.assign(t.ids.size(), 0);
+  } else {
+    if (faults && !faults->permanent().empty())
+      for (u32 m = 0; m < routes.size(); ++m)
+        if (!faults->permanent().path_avoids(routes[m])) t.fail(m);
+    if (obs::enabled())
+      active_hist = &obs::Registry::global().histogram("sim.active_messages");
+  }
+  std::vector<u32> active;
+  for (u32 m : t.roots) t.release(m, active);
+
+  while (!active.empty() && out.cycles < cfg.max_cycles) {
+    const u64 now = start_cycle + ++out.cycles;
+    if constexpr (Live) schedule.apply_until(now, live, sched_cursor);
+    if (active_hist) active_hist->observe(active.size());
+    t.next_cycle();
+    std::vector<u32> still_active;
+    still_active.reserve(active.size());
+    for (u32 m : active) {
+      if (t.failed.test(m)) continue;  // retry budget ran out this cycle
+      const CubePath& r = routes[m];
+      u32* const c = t.crossed.data() + t.first[m];
+      const u32* const hop = t.hop.data() + t.first[m];
+      const u32 hops = t.hops(m);
+      [[maybe_unused]] bool progressed = false;
+      for (u32 h = hops; h-- > 0;) {
+        if (!t.ready(c, h)) continue;
+        const u32 link = hop[h];
+        if (!t.claim(link)) {
+          ++(Live ? blocked_since[m] : out.blocked_attempts);
+          continue;
+        }
+        const bool dead =
+            (Live && live.link_failed(r[h], r[h + 1])) ||
+            (flapping && faults->flapping_down(now, r[h], r[h + 1]));
+        if (dead || (transient && faults->drops(now, t.ids[link]))) {
+          ++out.dropped_flits;
+          if constexpr (Live) {
+            ++failed_since[m];
+            u32& streak = consec_failures[link];
+            if (++streak == cfg.detect_threshold && !suspected[link]) {
+              suspected[link] = 1;
+              out.detections.push_back(
+                  DetectionEvent{now, r[h], r[h + 1], streak, false});
+            }
+          }
+          if (!t.retry(m)) break;  // budget spent: m and dependents died
+          continue;
+        }
+        if constexpr (Live) consec_failures[link] = 0;
+        ++c[h];
+        progressed = true;
+      }
+      if (t.failed.test(m)) continue;
+      if (c[hops - 1] >= flits) {
+        t.deliver(m, still_active);
+        continue;
+      }
+      if constexpr (Live) {
+        const bool stalled =
+            !progressed &&
+            out.cycles - last_progress[m] >= cfg.watchdog_cycles;
+        if (stalled) {
+          // Watchdog: a message with no flit progress for watchdog_cycles
+          // is stuck behind something the failure counters did not catch
+          // (e.g. a persistently unlucky transient link whose streaks keep
+          // being broken by other traffic). Promote its stuck hop to
+          // suspected — but only when failed transmissions dominate the
+          // stall: a stall made of bandwidth-blocked attempts means the
+          // network is saturated, not dead, and promoting it would make a
+          // storm's congestion trigger bogus repairs. Defer those and
+          // re-arm.
+          if (failed_since[m] > 0 && failed_since[m] >= blocked_since[m]) {
+            u32 stuck = 0;
+            while (stuck + 1 < hops && c[stuck] >= flits) ++stuck;
+            const u32 stuck_link = hop[stuck];
+            if (!suspected[stuck_link]) {
+              suspected[stuck_link] = 1;
+              out.detections.push_back(
+                  DetectionEvent{now, r[stuck], r[stuck + 1],
+                                 consec_failures[stuck_link], true});
+            }
+          } else {
+            ++out.deferred_watchdogs;
+          }
+        }
+        if (progressed || stalled) {  // re-arm: one decision per stall
+          last_progress[m] = out.cycles;
+          failed_since[m] = 0;
+          blocked_since[m] = 0;
+        }
+      }
+      still_active.push_back(m);
+    }
+    active.swap(still_active);
+    // Live: pause at the end of the first suspicious cycle. Every message
+    // got its arbitration turn this cycle, so the pause point does not
+    // depend on which message tripped the detector first.
+    if (Live && !out.detections.empty()) break;
+  }
+  out.in_flight = !active.empty();
+  return out;
+}
+
 }  // namespace
 
 CubeNetwork::CubeNetwork(SimConfig config) : config_(config) {
@@ -157,9 +324,9 @@ u64 CubeNetwork::add_message(CubePath route, i64 after) {
   require(!route.empty(), "add_message: empty route");
   require(after < static_cast<i64>(routes_.size()),
           "add_message: dependency on a message not yet queued");
-  for (std::size_t i = 0; i + 1 < route.size(); ++i)
+  for (std::size_t i = 0; i < route.size(); ++i)
     require(host.contains(route[i]) &&
-                Hypercube::adjacent(route[i], route[i + 1]),
+                (i == 0 || Hypercube::adjacent(route[i - 1], route[i])),
             "add_message: route must follow cube links");
   routes_.push_back(std::move(route));
   deps_.push_back(after);
@@ -213,9 +380,6 @@ SimResult CubeNetwork::run() {
   result.switching = config_.switching;
   result.message_flits = config_.message_flits;
   result.link_bandwidth = config_.link_bandwidth;
-
-  const u32 flits = config_.message_flits;
-  const FaultModel* faults = config_.faults;
   const bool observing = obs::enabled();
 
   // Static route statistics (over all queued routes, failed or not).
@@ -231,63 +395,9 @@ SimResult CubeNetwork::run() {
     for (const CubePath& r : routes_) route_len.observe(r.size() - 1);
   }
 
-  // Flit-level simulation: a flit crosses hop h this cycle when the hop
-  // is ready (Traffic::ready) and its link has spare bandwidth. Hops are
-  // served destination-first so a flit never moves twice per cycle;
-  // messages are served in id order (deterministic arbitration).
-  std::vector<u32> active;
-  // A message whose route crosses a permanent fault can never be
-  // delivered: fail it up front (and, transitively, its dependents)
-  // instead of stalling the run to max_cycles.
-  if (faults && !faults->permanent().empty())
-    for (u32 m = 0; m < routes_.size(); ++m)
-      if (!faults->permanent().path_avoids(routes_[m])) t.fail(m);
-  for (u32 m : t.roots) t.release(m, active);
-
-  const bool transient = faults && faults->has_transient();
-  const bool flapping = faults && faults->has_flapping();
-  // Queue-depth proxy, counted unconditionally (one integer increment):
-  // transmission attempts deferred because the link's bandwidth was
-  // already spent this cycle.
-  u64 blocked_attempts = 0;
-  obs::Histogram* active_hist =
-      observing ? &obs::Registry::global().histogram("sim.active_messages")
-                : nullptr;
-  while (!active.empty() && result.cycles < config_.max_cycles) {
-    ++result.cycles;
-    if (active_hist) active_hist->observe(active.size());
-    t.next_cycle();
-    std::vector<u32> still_active;
-    still_active.reserve(active.size());
-    for (u32 m : active) {
-      if (t.failed.test(m)) continue;  // retry budget ran out this cycle
-      const CubePath& r = routes_[m];
-      u32* const c = t.crossed.data() + t.first[m];
-      const u32* const hop = t.hop.data() + t.first[m];
-      const u32 hops = t.hops(m);
-      for (u32 h = hops; h-- > 0;) {
-        if (!t.ready(c, h)) continue;
-        if (!t.claim(hop[h])) {
-          ++blocked_attempts;
-          continue;
-        }
-        if ((flapping &&
-             faults->flapping_down(result.cycles, r[h], r[h + 1])) ||
-            (transient && faults->drops(result.cycles, t.ids[hop[h]]))) {
-          ++result.dropped_flits;
-          if (!t.retry(m)) break;  // budget spent: m and dependents died
-          continue;
-        }
-        ++c[h];
-      }
-      if (t.failed.test(m)) continue;
-      if (c[hops - 1] < flits)
-        still_active.push_back(m);
-      else
-        t.deliver(m, still_active);
-    }
-    active.swap(still_active);
-  }
+  const CycleOutcome out = run_cycles<false>(t, routes_, 0, FaultSchedule{});
+  result.cycles = out.cycles;
+  result.dropped_flits = out.dropped_flits;
   result.delivered = t.num_delivered;
   result.failed_messages = t.num_failed;
 
@@ -312,7 +422,7 @@ SimResult CubeNetwork::run() {
     reg.counter("sim.delivered").add(result.delivered);
     reg.counter("sim.failed_messages").add(result.failed_messages);
     reg.counter("sim.dropped_flits").add(result.dropped_flits);
-    reg.counter("sim.blocked_attempts").add(blocked_attempts);
+    reg.counter("sim.blocked_attempts").add(out.blocked_attempts);
     obs::Histogram& link_load = reg.histogram("sim.link_load");
     obs::Histogram& link_util = reg.histogram("sim.link_util_pct");
     const u64 capacity = result.cycles * config_.link_bandwidth;
@@ -322,7 +432,7 @@ SimResult CubeNetwork::run() {
       // meaningful when the run drained (a truncated run's cycle count
       // measures the cap, not the traffic).
       if (result.completed && capacity > 0)
-        link_util.observe(u64{load} * flits * 100 / capacity);
+        link_util.observe(u64{load} * config_.message_flits * 100 / capacity);
     }
   }
   routes_.clear();
@@ -333,14 +443,7 @@ SimResult CubeNetwork::run() {
 LiveEpochResult CubeNetwork::run_live(u64 start_cycle,
                                       const FaultSchedule& schedule) {
   HJ_SPAN_N("sim.run_live", routes_.size());
-  LiveEpochResult result;
-  result.messages = routes_.size();
-
   const u32 flits = config_.message_flits;
-  const FaultModel* faults = config_.faults;
-  const bool transient = faults && faults->has_transient();
-  const bool flapping = faults && faults->has_flapping();
-
   Traffic t(routes_, deps_, config_);
   require(config_.watchdog_cycles >= u64{t.max_hops} * flits,
           "run_live: watchdog_cycles (%llu) is below the longest route's "
@@ -350,126 +453,22 @@ LiveEpochResult CubeNetwork::run_live(u64 start_cycle,
           t.max_hops, flits,
           static_cast<unsigned long long>(u64{t.max_hops} * flits));
 
-  // Ground-truth hardware state: the faults known before the run plus
-  // every scheduled arrival whose cycle has passed. Nothing is pre-failed
-  // from it — a message crossing an arrived fault simply keeps failing its
-  // transmissions until the detection layer notices.
-  FaultSet live = faults ? faults->permanent() : FaultSet{};
-  std::size_t sched_cursor = 0;
-  schedule.apply_until(start_cycle, live, sched_cursor);
-
-  // Watchdog state: local cycle of each message's last flit progress,
-  // plus — to tell a dead network from a saturated one — how many of the
-  // message's transmission attempts since that progress were outright
-  // *failed* (dead/flapping link, transient drop) versus merely *blocked*
-  // on link bandwidth already spent by other traffic.
-  std::vector<u64> last_progress(routes_.size(), 0);
-  std::vector<u64> failed_since(routes_.size(), 0);
-  std::vector<u64> blocked_since(routes_.size(), 0);
-  std::vector<u32> active;
-  for (u32 m : t.roots) t.release(m, active);
-
-  // Detection layer, per link: consecutive failed transmissions, reset by
-  // any success on that link. A dead link never succeeds, so its counter
-  // climbs monotonically to detect_threshold within a few cycles of the
-  // first attempt.
-  std::vector<u32> consec_failures(t.ids.size(), 0);
-  std::vector<u8> suspected(t.ids.size(), 0);
-  u64 executed = 0;
-  while (!active.empty() && executed < config_.max_cycles) {
-    ++executed;
-    const u64 now = start_cycle + executed;
-    schedule.apply_until(now, live, sched_cursor);
-    t.next_cycle();
-    std::vector<u32> still_active;
-    still_active.reserve(active.size());
-    for (u32 m : active) {
-      if (t.failed.test(m)) continue;
-      const CubePath& r = routes_[m];
-      u32* const c = t.crossed.data() + t.first[m];
-      const u32* const hop = t.hop.data() + t.first[m];
-      const u32 hops = t.hops(m);
-      bool progressed = false;
-      for (u32 h = hops; h-- > 0;) {
-        if (!t.ready(c, h)) continue;
-        const u32 link = hop[h];
-        if (!t.claim(link)) {
-          ++blocked_since[m];
-          continue;
-        }
-        const bool dead = live.link_failed(r[h], r[h + 1]) ||
-                          (flapping &&
-                           faults->flapping_down(now, r[h], r[h + 1]));
-        if (dead || (transient && faults->drops(now, t.ids[link]))) {
-          ++result.dropped_flits;
-          ++failed_since[m];
-          u32& streak = consec_failures[link];
-          if (++streak == config_.detect_threshold && !suspected[link]) {
-            suspected[link] = 1;
-            result.detections.push_back(
-                DetectionEvent{now, r[h], r[h + 1], streak, false});
-          }
-          if (!t.retry(m)) break;
-          continue;
-        }
-        consec_failures[link] = 0;
-        ++c[h];
-        progressed = true;
-      }
-      if (t.failed.test(m)) continue;
-      if (progressed) {
-        last_progress[m] = executed;
-        failed_since[m] = 0;
-        blocked_since[m] = 0;
-      }
-      if (c[hops - 1] < flits) {
-        // Watchdog: a message with no flit progress for watchdog_cycles is
-        // stuck behind something the failure counters did not catch (e.g.
-        // a persistently unlucky transient link whose streaks keep being
-        // broken by other traffic). Promote its stuck hop to suspected —
-        // but only when failed transmissions dominate the stall: a stall
-        // made of bandwidth-blocked attempts means the network is
-        // saturated, not dead, and promoting it would make a storm's
-        // congestion trigger bogus repairs. Defer those and re-arm.
-        if (executed - last_progress[m] >= config_.watchdog_cycles) {
-          if (failed_since[m] > 0 && failed_since[m] >= blocked_since[m]) {
-            u32 stuck = 0;
-            while (stuck + 1 < hops && c[stuck] >= flits) ++stuck;
-            const u32 link = hop[stuck];
-            if (!suspected[link]) {
-              suspected[link] = 1;
-              result.detections.push_back(DetectionEvent{
-                  now, r[stuck], r[stuck + 1], consec_failures[link], true});
-            }
-          } else {
-            ++result.deferred_watchdogs;
-          }
-          last_progress[m] = executed;  // one decision per stall period
-          failed_since[m] = 0;
-          blocked_since[m] = 0;
-        }
-        still_active.push_back(m);
-      } else {
-        t.deliver(m, still_active);
-      }
-    }
-    active.swap(still_active);
-    // Pause at the end of the first suspicious cycle: every message got
-    // its arbitration turn this cycle, so the pause point is independent
-    // of which message tripped the detector first.
-    if (!result.detections.empty()) break;
-  }
+  CycleOutcome out = run_cycles<true>(t, routes_, start_cycle, schedule);
+  LiveEpochResult result;
+  result.messages = routes_.size();
   result.delivered = t.num_delivered;
   result.message_delivered = std::move(t.delivered);
-
-  result.end_cycle = start_cycle + executed;
+  result.dropped_flits = out.dropped_flits;
+  result.deferred_watchdogs = out.deferred_watchdogs;
+  result.detections = std::move(out.detections);
+  result.end_cycle = start_cycle + out.cycles;
   result.detected = !result.detections.empty();
-  result.truncated =
-      !result.detected && !active.empty() && executed >= config_.max_cycles;
+  result.truncated = !result.detected && out.in_flight &&
+                     out.cycles >= config_.max_cycles;
   if (obs::enabled()) {
     auto& reg = obs::Registry::global();
     reg.counter("sim.live.epochs").add();
-    reg.counter("sim.live.cycles").add(executed);
+    reg.counter("sim.live.cycles").add(out.cycles);
     reg.counter("sim.live.detections").add(result.detections.size());
     reg.counter("sim.live.delivered").add(result.delivered);
     reg.counter("sim.live.dropped_flits").add(result.dropped_flits);
@@ -482,10 +481,8 @@ LiveEpochResult CubeNetwork::run_live(u64 start_cycle,
 
 SimResult simulate_stencil(const Embedding& emb, u32 link_bandwidth,
                            Switching sw, u32 flits) {
-  CubeNetwork net(
-      SimConfig{emb.host_dim(), link_bandwidth, 1'000'000, sw, flits});
-  net.add_stencil_exchange(emb);
-  return net.run();
+  return simulate_stencil(
+      emb, SimConfig{emb.host_dim(), link_bandwidth, 1'000'000, sw, flits});
 }
 
 SimResult simulate_stencil(const Embedding& emb, const SimConfig& config) {

@@ -42,16 +42,19 @@ struct SimConfig {
   Switching switching = Switching::StoreAndForward;
   /// Flits per message (message length).
   u32 message_flits = 1;
-  /// Optional fault injection. Not owned; must outlive run(). Routes
-  /// crossing a permanent fault are reported failed (never simulated);
-  /// transient drops are retried up to `max_retries` per message.
+  /// Optional fault injection. Not owned; must outlive run(). In run(),
+  /// routes crossing a permanent fault are reported failed (never
+  /// simulated); run_live() discovers them instead. Transient drops are
+  /// retried up to `max_retries` per message.
   const FaultModel* faults = nullptr;
   /// Bound on transient-fault retries per message before the message is
   /// declared failed (SimResult::failed_messages, completed = false).
   u32 max_retries = 64;
-  /// run_live only: consecutive failed transmissions on one directed link
-  /// before the detection layer flags it suspected-permanent. Must stay
-  /// below max_retries or messages die before detection can fire.
+  /// run_live only (run() has no detection layer or watchdog, though the
+  /// constructor checks this field and the next for every run):
+  /// consecutive failed transmissions on one directed link before the
+  /// detection layer flags it suspected-permanent. Must stay below
+  /// max_retries or messages die before detection can fire.
   u32 detect_threshold = 4;
   /// run_live only: cycles a message may go without any flit progress
   /// before the watchdog considers its stuck hop. Must cover the longest

@@ -1,23 +1,10 @@
 #include "hypersim/storm.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <unordered_set>
 
 namespace hj::sim {
 namespace {
-
-/// splitmix64: every address and cycle below is a counter hash, so
-/// generate() is a pure function of the spec — no hidden RNG state.
-u64 mix64(u64 x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
 
 /// Fixed-point probability threshold: event fires iff hash < p * 2^64.
 u64 threshold(double p) {
@@ -197,20 +184,13 @@ Storm StormGenerator::generate() const {
 
 namespace {
 
-u64 parse_u64(const std::string& s) {
-  char* end = nullptr;
-  const u64 v = std::strtoull(s.c_str(), &end, 10);
-  require(end != s.c_str() && *end == '\0',
-          "parse_storm_spec: '%s' is not a number", s.c_str());
-  return v;
-}
-
-double parse_f64(const std::string& s) {
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  require(end != s.c_str() && *end == '\0',
-          "parse_storm_spec: '%s' is not a number", s.c_str());
-  return v;
+/// The value of `key=val` as a T (see parse_exact).
+template <class T>
+T number(const std::string& key, const std::string& val) {
+  const std::optional<T> v = parse_exact<T>(val);
+  require(v.has_value(), "parse_storm_spec: %s='%s' is not a number in range",
+          key.c_str(), val.c_str());
+  return *v;
 }
 
 }  // namespace
@@ -241,33 +221,33 @@ StormSpec parse_storm_spec(const std::string& spec, u32 cube_dim) {
                 "regional|cascading|bursty|mixed)",
                 val.c_str());
     } else if (key == "events") {
-      out.events = static_cast<u32>(parse_u64(val));
+      out.events = number<u32>(key, val);
     } else if (key == "seed") {
-      out.seed = parse_u64(val);
+      out.seed = number<u64>(key, val);
     } else if (key == "node_frac") {
-      out.node_fraction = parse_f64(val);
+      out.node_fraction = number<double>(key, val);
     } else if (key == "first") {
-      out.first_cycle = parse_u64(val);
+      out.first_cycle = number<u64>(key, val);
     } else if (key == "burst") {
-      out.burst_size = static_cast<u32>(parse_u64(val));
+      out.burst_size = number<u32>(key, val);
     } else if (key == "spacing") {
-      out.burst_spacing = parse_u64(val);
+      out.burst_spacing = number<u64>(key, val);
     } else if (key == "gap") {
-      out.intra_burst_spacing = parse_u64(val);
+      out.intra_burst_spacing = number<u64>(key, val);
     } else if (key == "regions") {
-      out.regions = static_cast<u32>(parse_u64(val));
+      out.regions = number<u32>(key, val);
     } else if (key == "radius") {
-      out.region_radius = static_cast<u32>(parse_u64(val));
+      out.region_radius = number<u32>(key, val);
     } else if (key == "cascade_p") {
-      out.cascade_p = parse_f64(val);
+      out.cascade_p = number<double>(key, val);
     } else if (key == "cap") {
-      out.max_fail_fraction = parse_f64(val);
+      out.max_fail_fraction = number<double>(key, val);
     } else if (key == "flap") {
-      out.flapping_links = static_cast<u32>(parse_u64(val));
+      out.flapping_links = number<u32>(key, val);
     } else if (key == "flap_period") {
-      out.flap_period = parse_u64(val);
+      out.flap_period = number<u64>(key, val);
     } else if (key == "flap_down") {
-      out.flap_down = parse_u64(val);
+      out.flap_down = number<u64>(key, val);
     } else {
       require(false, "parse_storm_spec: unknown key '%s'", key.c_str());
     }

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
+#include <vector>
 
 #include "core/direct.hpp"
 #include "core/verify.hpp"
@@ -65,6 +67,12 @@ TEST(Network, RejectsBrokenRoutes) {
   CubeNetwork net(SimConfig{2});
   EXPECT_THROW(net.add_message(CubePath{0, 3}), std::invalid_argument);
   EXPECT_THROW(net.add_message(CubePath{}), std::invalid_argument);
+  // Every node must lie in the host, the last one included: 7 is adjacent
+  // to 3 but outside Q2, and link 3->7 has no slot there.
+  EXPECT_THROW(net.add_message(CubePath{3, 7}), std::invalid_argument);
+  EXPECT_THROW(net.add_message(CubePath{0, 1, 5}), std::invalid_argument);
+  EXPECT_THROW(net.add_message(CubePath{4}), std::invalid_argument);
+  EXPECT_EQ(net.pending(), 0u);
 }
 
 TEST(Network, GrayStencilIsContentionLight) {
@@ -373,6 +381,79 @@ TEST(Network, DenseAndSortedLinkSlotsAgree) {
     start_hi = b.end_cycle;
   }
 }
+
+// --- run() is run_live() without faults ------------------------------------
+
+struct KernelCase {
+  bool gray;       // Gray code embedding, else the dilation-2 3x3x7 table
+  bool broadcast;  // naive broadcast, else the stencil exchange
+  Switching sw;
+  u32 flits;
+  u32 bandwidth;
+
+  // gtest_discover_tests names each case by its printed value, so this
+  // printer keeps the ctest ids readable and stable across builds.
+  friend std::ostream& operator<<(std::ostream& os, const KernelCase& k) {
+    return os << (k.gray ? "gray_" : "direct_")
+              << (k.broadcast ? "broadcast_" : "stencil_")
+              << (k.sw == Switching::CutThrough ? "ct" : "saf") << "_f"
+              << k.flits << "_bw" << k.bandwidth;
+  }
+};
+
+std::vector<KernelCase> kernel_cases() {
+  std::vector<KernelCase> out;
+  for (const bool gray : {true, false})
+    for (const bool broadcast : {false, true})
+      for (const Switching sw :
+           {Switching::StoreAndForward, Switching::CutThrough})
+        for (const u32 flits : {1u, 4u})
+          for (const u32 bandwidth : {1u, 2u})
+            out.push_back({gray, broadcast, sw, flits, bandwidth});
+  return out;
+}
+
+class RunIsLiveWithoutFaults : public ::testing::TestWithParam<KernelCase> {};
+
+TEST_P(RunIsLiveWithoutFaults, SameCyclesAndDeliveries) {
+  // run() and run_live() share one cycle kernel; with no faults the only
+  // switches between them (faults fixed at cycle 0, detection and
+  // watchdog) have nothing to act on, so both schedules are the same.
+  const KernelCase k = GetParam();
+  const GrayEmbedding gray{Mesh(Shape{5, 6, 3})};
+  auto table = direct_embedding(Shape{3, 3, 7});
+  ASSERT_TRUE(table.has_value());
+  const Embedding& emb = k.gray ? static_cast<const Embedding&>(gray) : **table;
+  SimConfig config{emb.host_dim()};
+  config.switching = k.sw;
+  config.message_flits = k.flits;
+  config.link_bandwidth = k.bandwidth;
+  const auto queue = [&](CubeNetwork& net) {
+    if (k.broadcast)
+      net.add_broadcast(emb, emb.guest().num_nodes() / 2);
+    else
+      net.add_stencil_exchange(emb);
+  };
+  CubeNetwork a(config), b(config);
+  queue(a);
+  queue(b);
+  const SimResult r = a.run();
+  const LiveEpochResult live = b.run_live(0, FaultSchedule{});
+  ASSERT_TRUE(r.completed);
+  EXPECT_GT(r.cycles, 0u);
+  EXPECT_EQ(r.cycles, live.end_cycle);
+  EXPECT_EQ(r.messages, live.messages);
+  EXPECT_EQ(r.delivered, live.delivered);
+  EXPECT_EQ(r.dropped_flits, 0u);
+  EXPECT_EQ(live.dropped_flits, 0u);
+  EXPECT_FALSE(live.detected);
+  EXPECT_FALSE(live.truncated);
+  EXPECT_EQ(live.message_delivered,
+            std::vector<u8>(live.messages, static_cast<u8>(1)));
+}
+
+INSTANTIATE_TEST_SUITE_P(Modes, RunIsLiveWithoutFaults,
+                         ::testing::ValuesIn(kernel_cases()));
 
 }  // namespace
 }  // namespace hj::sim

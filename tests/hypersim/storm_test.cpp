@@ -266,6 +266,18 @@ TEST(StormSpecParse, RoundTripAndErrors) {
   EXPECT_THROW((void)parse_storm_spec("kind=tornado", 4),
                std::invalid_argument);
   EXPECT_THROW((void)parse_storm_spec("events", 4), std::invalid_argument);
+  // Numbers parse strictly: no sign, space or suffix, and nothing past the
+  // field's range (the u32 fields stop at 2^32 - 1, so they cannot wrap).
+  for (const char* bad :
+       {"events=-1", "events=+7", "events= 7", "events=7 ", "events=7k",
+        "events=4294967296", "radius=4294967297", "burst=-0",
+        "seed=12345678901234567890123", "first=99999999999999999999",
+        "node_frac= 0.5", "cap=0.5x", "events="})
+    EXPECT_THROW((void)parse_storm_spec(bad, 4), std::invalid_argument)
+        << bad;
+  EXPECT_EQ(parse_storm_spec("events=4294967295", 4).events, 4294967295u);
+  EXPECT_EQ(parse_storm_spec("seed=18446744073709551615", 4).seed,
+            ~u64{0});
 }
 
 // --- FaultSchedule duplicate-arrival guard ----------------------------------
