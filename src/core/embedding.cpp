@@ -10,41 +10,43 @@ void Embedding::map_all(std::vector<CubeNode>& out) const {
   for (MeshIndex i = 0; i < n; ++i) out[i] = map(i);
 }
 
-void Embedding::for_each_edge_path(const EdgePathFn& fn) const {
-  guest_.for_each_edge([&](const MeshEdge& e) { fn(e, edge_path(e)); });
+void Embedding::for_each_edge_path(EdgePathFn fn) const {
+  walk_edge_paths(guest_.shape().extents(),
+                  [&](const MeshEdge& e, const Coord&, const CubePath& p) {
+                    fn(e, p);
+                  });
+}
+
+void Embedding::walk_edge_paths(const Coord& box, EdgeWalkFn fn) const {
+  guest_.for_each_edge_in(box, [&](const MeshEdge& e, const Coord& c) {
+    fn(e, c, edge_path(e));
+  });
 }
 
 void GrayEmbedding::map_all(std::vector<CubeNode>& out) const {
   const Shape& s = guest().shape();
-  const u64 n = s.num_nodes();
-  out.resize(n);
-  if (n == 0) return;
-  const u32 k = s.dims();
-  Coord c(k, 0);
-  CubeNode cur = 0;  // gray(0) == 0 on every axis
-  for (u64 idx = 0;;) {
-    out[idx] = cur;
-    if (++idx == n) break;
-    // Row-major odometer, fastest axis last. An increment on axis i flips
-    // cur by gray(c)^gray(c+1); a carry resets the axis field to gray(0)=0
-    // by flipping off gray(l-1).
-    for (u32 i = k; i-- > 0;) {
-      if (c[i] + 1 < s[i]) {
-        cur ^= (gray(c[i]) ^ gray(c[i] + 1)) << shift_[i];
-        ++c[i];
-        break;
-      }
-      cur ^= gray(c[i]) << shift_[i];
-      c[i] = 0;
-    }
+  SmallVec<u64, 4> stride(s.dims(), 0);
+  for (u32 i = 0; i < s.dims(); ++i) stride[i] = s.stride(i);
+  out.resize(s.num_nodes());
+  BoxOdometer odo(std::move(stride));
+  odo.hi = s.extents();
+  odo.start();
+  for (CubeNode& v : out) {
+    v = image(odo.c);
+    odo.next();
   }
 }
 
-void GrayEmbedding::for_each_edge_path(const EdgePathFn& fn) const {
-  std::vector<CubeNode> nm;
-  map_all(nm);
-  guest().for_each_edge([&](const MeshEdge& e) {
-    fn(e, Hypercube::ecube_path(nm[e.a], nm[e.b]));
+void GrayEmbedding::walk_edge_paths(const Coord& box, EdgeWalkFn fn) const {
+  // Every Gray edge is one hop: the image of c and that image with the
+  // edge's axis field stepped to the next Gray code (or wrapped to 0).
+  CubePath p;
+  p.resize(2);
+  guest().for_each_edge_in(box, [&](const MeshEdge& e, const Coord& c) {
+    const u64 x = c[e.axis];
+    p[0] = image(c);
+    p[1] = p[0] ^ ((gray(x) ^ gray(e.wrap ? 0 : x + 1)) << shift_[e.axis]);
+    fn(e, c, p);
   });
 }
 
@@ -90,25 +92,28 @@ void ExplicitEmbedding::set_edge_path(const MeshEdge& e, CubePath path) {
     paths_.insert(it, {key, std::move(path)});
 }
 
-void ExplicitEmbedding::for_each_edge_path(const EdgePathFn& fn) const {
+void ExplicitEmbedding::walk_edge_paths(const Coord& box,
+                                        EdgeWalkFn fn) const {
   // Node-major, axes ascending: exactly the order of path_key, so one
   // forward merge over the sorted overrides replaces a lower_bound per
   // edge.
   const Mesh& g = guest();
   const Shape& s = g.shape();
   const u32 k = s.dims();
-  const u64 n = s.num_nodes();
   SmallVec<u64, 4> stride(k, 0);
   for (u32 i = 0; i < k; ++i) stride[i] = s.stride(i);
+  BoxOdometer odo(stride);
+  odo.hi = box;
+  if (!odo.start()) return;
   auto ov = paths_.begin();
-  Coord c(k, 0);
-  for (MeshIndex a = 0; a < n; ++a) {
+  do {
+    const MeshIndex a = odo.index;
     for (u32 axis = 0; axis < k; ++axis) {
       const u64 l = s[axis];
       MeshEdge e{a, 0, axis, false};
-      if (c[axis] + 1 < l) {
+      if (odo.c[axis] + 1 < box[axis]) {
         e.b = a + stride[axis];
-      } else if (g.wraps(axis) && l > 2) {
+      } else if (g.wraps(axis) && l > 2 && odo.c[axis] == l - 1) {
         e.b = a - (l - 1) * stride[axis];
         e.wrap = true;
       } else {
@@ -117,15 +122,11 @@ void ExplicitEmbedding::for_each_edge_path(const EdgePathFn& fn) const {
       const u64 key = path_key(e);
       while (ov != paths_.end() && ov->first < key) ++ov;
       if (ov != paths_.end() && ov->first == key)
-        fn(e, ov->second);
+        fn(e, odo.c, ov->second);
       else
-        fn(e, Hypercube::ecube_path(map_[e.a], map_[e.b]));
+        fn(e, odo.c, Hypercube::ecube_path(map_[e.a], map_[e.b]));
     }
-    for (u32 i = k; i-- > 0;) {
-      if (++c[i] < s[i]) break;
-      c[i] = 0;
-    }
-  }
+  } while (odo.next() < k);
 }
 
 CubePath neighbor_route(const Embedding& emb, MeshIndex u, MeshIndex w) {

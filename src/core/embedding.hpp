@@ -8,13 +8,15 @@
 //
 // Two bulk traversals sit beside the random-access pair: map_all (every
 // node image) and for_each_edge_path (every edge path, in an order of the
-// embedding's choosing). Composites override them to stream their factors
-// once instead of recursing per node or per edge; map/edge_path stay the
-// reference definitions the bulk forms must agree with.
+// embedding's choosing, through the overridable walk_edge_paths).
+// Composites override them to stream their factors once instead of
+// recursing per node or per edge; map/edge_path stay the reference
+// definitions the bulk forms must agree with.
 #pragma once
 
-#include <functional>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/gray.hpp"
@@ -22,6 +24,35 @@
 #include "core/mesh.hpp"
 
 namespace hj {
+
+template <class Sig>
+class FnRef;
+
+/// A non-owning reference to a callable: one object pointer and one
+/// function pointer, no allocation, no type erasure beyond that. It must
+/// not outlive the callable it refers to, so it is only ever a parameter
+/// of a call that returns before the callable dies (never stored).
+template <class R, class... A>
+class FnRef<R(A...)> {
+ public:
+  template <class F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, FnRef> &&
+             std::is_invocable_r_v<R, F&, A...>)
+  FnRef(F&& f) noexcept  // implicit: a lambda argument converts
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, A... args) -> R {
+          return (*static_cast<std::remove_reference_t<F>*>(obj))(
+              std::forward<A>(args)...);
+        }) {}
+
+  R operator()(A... args) const {
+    return call_(obj_, std::forward<A>(args)...);
+  }
+
+ private:
+  void* obj_;
+  R (*call_)(void*, A...);
+};
 
 /// Base class for mesh-into-cube embeddings.
 ///
@@ -64,16 +95,27 @@ class Embedding {
   virtual void map_all(std::vector<CubeNode>& out) const;
 
   /// Receives one guest edge and its assigned path.
-  using EdgePathFn = std::function<void(const MeshEdge&, const CubePath&)>;
+  using EdgePathFn = FnRef<void(const MeshEdge&, const CubePath&)>;
+  /// Receives one guest edge, the coordinate of its `a` end and its path.
+  using EdgeWalkFn =
+      FnRef<void(const MeshEdge&, const Coord&, const CubePath&)>;
 
   /// Visit every guest edge exactly once with its path. Each edge is
   /// oriented as Mesh::for_each_edge orients it and its path equals
   /// edge_path(e); the visiting order is deterministic but the
   /// embedding's own, not for_each_edge order, so callers must aggregate
-  /// commutatively (or key by slot axis * num_nodes + a). The default
-  /// loops edge_path; products fan each factor path out to every copy
-  /// (Corollary 2), relabels and submeshes re-index their base's walk.
-  virtual void for_each_edge_path(const EdgePathFn& fn) const;
+  /// commutatively (or key by slot axis * num_nodes + a).
+  void for_each_edge_path(EdgePathFn fn) const;
+
+  /// The walk behind for_each_edge_path, restricted to the guest edges
+  /// with both ends inside the box [0, box) (box[i] <= guest extent i):
+  /// the same edges in the same relative order, each with the
+  /// coordinate of its `a` end, which composites read instead of
+  /// dividing e.a. The default visits Mesh::for_each_edge order and
+  /// calls edge_path; products fan each factor path out to every copy in
+  /// the box (Corollary 2), relabels and submeshes re-index their base's
+  /// walk, and a submesh hands its box down instead of filtering.
+  virtual void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const;
 
   /// True asserts that *every* guest edge's assigned path is exactly the
   /// at-most-one-hop sequence [map(e.a), map(e.b)] — i.e. dilation <= 1
@@ -137,11 +179,18 @@ class GrayEmbedding final : public Embedding {
   }
 
   void map_all(std::vector<CubeNode>& out) const override;
-  void for_each_edge_path(const EdgePathFn& fn) const override;
+  void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const override;
 
   [[nodiscard]] bool unit_paths() const noexcept override { return true; }
 
  private:
+  /// The image of coordinate `c`: each axis's Gray code in its field.
+  [[nodiscard]] CubeNode image(const Coord& c) const noexcept {
+    CubeNode v = 0;
+    for (u32 i = 0; i < c.size(); ++i) v |= gray(c[i]) << shift_[i];
+    return v;
+  }
+
   GrayEmbedding(u32 host_dim, Mesh g) : Embedding(std::move(g), host_dim) {
     const Shape& s = guest().shape();
     shift_.assign(s.dims(), 0);
@@ -189,7 +238,7 @@ class ExplicitEmbedding final : public Embedding {
   void map_all(std::vector<CubeNode>& out) const override {
     out.assign(map_.begin(), map_.end());
   }
-  void for_each_edge_path(const EdgePathFn& fn) const override;
+  void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const override;
 
   /// Prescribe the path for one edge. `path` must run from map(e.a) to
   /// map(e.b) along cube edges; the verifier re-checks this.

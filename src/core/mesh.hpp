@@ -76,19 +76,33 @@ class Mesh {
   /// coordinate l-1 end and `b` the coordinate 0 end).
   template <class Fn>
   void for_each_edge(Fn&& fn) const {
-    const u64 n = shape_.num_nodes();
+    for_each_edge_in(shape_.extents(),
+                     [&](const MeshEdge& e, const Coord&) { fn(e); });
+  }
+
+  /// for_each_edge restricted to the edges with both ends inside the box
+  /// [0, box) (box[i] <= shape()[i]), in the same order; `fn(e, c)` also
+  /// receives the coordinate `c` of e.a. Coordinates and indices advance
+  /// by odometer: no division per edge.
+  template <class Fn>
+  void for_each_edge_in(const Coord& box, Fn&& fn) const {
+    SmallVec<u64, 4> stride(dims(), 0);
+    for (u32 i = 0; i < dims(); ++i) stride[i] = shape_.stride(i);
+    BoxOdometer odo(stride);
+    odo.hi = box;
     for (u32 axis = 0; axis < dims(); ++axis) {
       const u64 l = shape_[axis];
-      if (l <= 1) continue;
-      const u64 stride = shape_.stride(axis);
-      for (MeshIndex idx = 0; idx < n; ++idx) {
-        const u64 c = (idx / stride) % l;
-        if (c + 1 < l) {
-          fn(MeshEdge{idx, idx + stride, axis, false});
-        } else if (wraps(axis) && l > 2) {
-          fn(MeshEdge{idx, idx - (l - 1) * stride, axis, true});
-        }
-      }
+      if (l <= 1 || box[axis] <= 1 || !odo.start()) continue;
+      // A wrap edge joins coordinate l-1 to 0, so only a full axis has it.
+      const bool wrap = wraps(axis) && l > 2 && box[axis] == l;
+      const u64 st = stride[axis];
+      do {
+        const MeshIndex idx = odo.index;
+        if (odo.c[axis] + 1 < box[axis])
+          fn(MeshEdge{idx, idx + st, axis, false}, odo.c);
+        else if (wrap)
+          fn(MeshEdge{idx, idx - (l - 1) * st, axis, true}, odo.c);
+      } while (odo.next() < dims());
     }
   }
 

@@ -34,6 +34,13 @@ u64 product_of(const Shape& s) { return s.num_nodes(); }
 /// factor and extension sub-plans they build do not.
 constexpr bool kExtendTopLevel = true;
 
+/// plan_batch plans its canonical shapes in chunks of this many. Fixed,
+/// not derived from the thread count, as the par:: determinism contract
+/// asks: small enough that the self-scheduled workers stay busy to the
+/// end of a mixed-size batch, large enough that a chunk's Planner set-up
+/// stays negligible.
+constexpr u64 kPlanGrain = 4;
+
 cost::CostVector cost_of(const PlanCacheEntry& e) {
   return cost::CostVector{e.cube, e.dil, e.cong, e.wl};
 }
@@ -364,7 +371,10 @@ PlanResult Planner::plan(const Shape& shape) {
   Entry e = best(shape, kExtendTopLevel);
   PlanResult out;
   out.embedding = e.emb;
-  out.report = verify(*e.emb);
+  {
+    HJ_SPAN("plan.verify");
+    out.report = verify(*e.emb);
+  }
   out.plan = plan_string(e);
   // Timing-kind: plan() runs on batch worker threads, so emission order
   // is scheduling-dependent even though each payload is deterministic.
@@ -569,9 +579,7 @@ std::vector<PlanResult> plan_batch(const std::vector<Shape>& shapes,
   std::vector<PlanResult> canon_plans(uniq.size());
   {
     HJ_SPAN_N("plan_batch.plan_canonical", uniq.size());
-    const u64 plan_grain =
-        std::max<u64>(1, uniq.size() / (u64{par::thread_count()} * 4));
-    par::parallel_for(0, uniq.size(), plan_grain, [&](u64 lo, u64 hi) {
+    par::parallel_for(0, uniq.size(), kPlanGrain, [&](u64 lo, u64 hi) {
       Planner planner(opts);
       planner.set_shared_cache(cache);
       if (provider_factory) planner.set_direct_provider(provider_factory());

@@ -12,6 +12,20 @@ Mesh product_guest(const Embedding& inner, const Embedding& outer) {
   return Mesh(inner.guest().shape() * outer.guest().shape());
 }
 
+/// out[i] = from[sum c_i * stride_i] for every node c of `s` in index
+/// order: the node map of a re-indexing adapter, in one odometer pass.
+void gather(const Shape& s, SmallVec<u64, 4> stride,
+            const std::vector<CubeNode>& from, std::vector<CubeNode>& out) {
+  out.resize(s.num_nodes());
+  BoxOdometer odo(std::move(stride));
+  odo.hi = s.extents();
+  odo.start();
+  for (CubeNode& v : out) {
+    v = from[odo.index];
+    odo.next();
+  }
+}
+
 }  // namespace
 
 MeshProductEmbedding::MeshProductEmbedding(EmbeddingPtr inner,
@@ -55,46 +69,41 @@ void MeshProductEmbedding::map_all(std::vector<CubeNode>& out) const {
   out.resize(n);
   if (n == 0) return;
   // Materialize both factor maps once (recursing through nested products),
-  // then walk the product mesh with an odometer that tracks the inner/outer
-  // coordinate split incrementally — no per-node division, no Coord
-  // allocation, no virtual recursion.
+  // then walk the product mesh with an odometer that keeps the inner
+  // (reflected) and outer indices in step — no per-node division, no
+  // Coord allocation, no virtual recursion. Crossing into the next copy
+  // along an axis leaves the inner index where it is: the reflection
+  // makes neighbouring copies meet at the same inner node.
   std::vector<CubeNode> im, om;
   inner_->map_all(im);
   outer_->map_all(om);
   const u32 k = s.dims();
   const u32 inner_dim = inner_->host_dim();
-  SmallVec<u64, 8> st1(k, 0), st2(k, 0);
-  {
-    u64 a = 1, b = 1;
-    for (u32 j = k; j-- > 0;) {
-      st1[j] = a;
-      a *= s1[j];
-      st2[j] = b;
-      b *= s2[j];
-    }
+  SmallVec<u64, 8> st1(k, 0), st2(k, 0), x(k, 0), y(k, 0);
+  for (u32 j = 0; j < k; ++j) {
+    st1[j] = s1.stride(j);
+    st2[j] = s2.stride(j);
   }
-  Coord z(k, 0), x(k, 0), y(k, 0);  // z_j = y_j * l1j + x_j (unreflected x)
+  u64 xi = 0, yi = 0;  // inner index of the reflected x, outer index of y
   for (u64 idx = 0;;) {
-    u64 xi = 0, yi = 0;
-    for (u32 j = 0; j < k; ++j) {
-      // Reflect the inner coordinate in odd copies (Sec. 4.1).
-      xi += ((y[j] & 1) ? s1[j] - 1 - x[j] : x[j]) * st1[j];
-      yi += y[j] * st2[j];
-    }
     out[idx] = (om[yi] << inner_dim) | im[xi];
     if (++idx == n) break;
     for (u32 j = k; j-- > 0;) {
-      if (z[j] + 1 < s[j]) {
-        ++z[j];
-        if (x[j] + 1 < s1[j]) {
-          ++x[j];
-        } else {
-          x[j] = 0;
-          ++y[j];
-        }
+      if (x[j] + 1 < s1[j]) {  // one step inside the copy
+        ++x[j];
+        xi = (y[j] & 1) ? xi - st1[j] : xi + st1[j];
         break;
       }
-      z[j] = 0;
+      if (y[j] + 1 < s2[j]) {  // into the next copy
+        x[j] = 0;
+        ++y[j];
+        yi += st2[j];
+        break;
+      }
+      // Back to z_j = 0: the last copy ends at reflected x = 0 when its
+      // index is odd and at l1_j - 1 when even.
+      if ((y[j] & 1) == 0) xi -= (s1[j] - 1) * st1[j];
+      yi -= y[j] * st2[j];
       x[j] = 0;
       y[j] = 0;
     }
@@ -150,88 +159,131 @@ CubePath MeshProductEmbedding::edge_path(const MeshEdge& e) const {
   return path;
 }
 
-void MeshProductEmbedding::for_each_edge_path(const EdgePathFn& fn) const {
+void MeshProductEmbedding::walk_edge_paths(const Coord& box,
+                                           EdgeWalkFn fn) const {
   // Corollary 2 read as a traversal: every copy of the inner mesh reuses
   // the inner edge paths, and every outer edge path joins two consecutive
   // copies along the face where their (reflected) inner images coincide.
   // Each factor is walked once and each of its paths fanned out to all
   // the copies it serves; only the two factor node maps are materialized.
+  // Product coordinate z_i = y_i * l1_i + x_i in an even copy and
+  // y_i * l1_i + l1_i - 1 - x_i in an odd one (x the inner coordinate).
   const Shape& s = guest().shape();
   const Shape& s1 = inner_->guest().shape();
   const Shape& s2 = outer_->guest().shape();
   const u32 k = s.dims();
-  const u64 n2 = s2.num_nodes();
+  const u32 d1 = inner_->host_dim();
   std::vector<CubeNode> im, om;
   inner_->map_all(im);
   outer_->map_all(om);
-  SmallVec<u64, 4> st(k, 0), st1(k, 0);
+  SmallVec<u64, 4> st(k, 0), st1(k, 0), st2(k, 0);
+  // The box holds full[i] whole copies along axis i plus the first
+  // part[i] coordinates of one more. The inner walk needs no more than
+  // the inner box, the outer walk no more than the copies the box meets.
+  Coord full(k, 0), part(k, 0), ibox(k, 0), obox(k, 0);
   for (u32 i = 0; i < k; ++i) {
     st[i] = s.stride(i);
     st1[i] = s1.stride(i);
+    st2[i] = s2.stride(i);
+    full[i] = box[i] / s1[i];
+    part[i] = box[i] % s1[i];
+    ibox[i] = std::min(box[i], s1[i]);
+    obox[i] = full[i] + (part[i] > 0);
   }
-  // Product index of reflected inner coordinate x in outer copy y.
-  const auto index_of = [&](const Coord& x, const Coord& y) {
-    u64 z = 0;
-    for (u32 i = 0; i < k; ++i)
-      z += (y[i] * s1[i] + ((y[i] & 1) ? s1[i] - 1 - x[i] : x[i])) * st[i];
-    return z;
+  Coord z(k, 0);
+  u64 low = 0;  // sum z_i * st_i, kept in step with z
+  const auto set_z = [&](u32 i, u64 v) {
+    low += (v - z[i]) * st[i];
+    z[i] = v;
   };
   CubePath q;
 
-  // M1-type edges. In reflected coordinates an inner edge runs x' ->
-  // x'+e_j; in a copy with odd y_j that is high-to-low in the product, so
-  // the low end is x'+e_j and the path runs reversed.
-  inner_->for_each_edge_path([&](const MeshEdge& e, const CubePath& p) {
-    const u32 j = e.axis;
-    const Coord x = s1.coord(e.a);
-    Coord x_hi = x;
-    ++x_hi[j];
-    Coord y(k, 0);
-    for (u64 yi = 0; yi < n2; ++yi) {
-      const bool odd = (y[j] & 1) != 0;
-      const u64 low = index_of(odd ? x_hi : x, y);
-      q.clear();
-      if (odd)
-        for (std::size_t t = p.size(); t-- > 0;)
-          q.push_back(combine(p[t], om[yi]));
-      else
-        for (CubeNode w : p) q.push_back(combine(w, om[yi]));
-      fn(MeshEdge{low, low + st[j], j, false}, q);
-      for (u32 i = k; i-- > 0;) {
-        if (++y[i] < s2[i]) break;
-        y[i] = 0;
-      }
-    }
-  });
-
-  // M2-type edges. Copies y and y+e_j meet on the inner face x'_j =
-  // l1_j-1 (y_j even) or x'_j = 0 (y_j odd); each outer path is carried
-  // once per inner node of that face.
-  outer_->for_each_edge_path([&](const MeshEdge& e, const CubePath& p) {
-    const u32 j = e.axis;
-    const Coord y = s2.coord(e.a);
-    Coord x(k, 0);
-    x[j] = (y[j] & 1) ? 0 : s1[j] - 1;
-    u64 xi = x[j] * st1[j];
-    for (bool more = true; more;) {
-      const u64 low = index_of(x, y);
-      q.clear();
-      for (CubeNode w : p) q.push_back(combine(im[xi], w));
-      fn(MeshEdge{low, low + st[j], j, false}, q);
-      more = false;
-      for (u32 i = k; i-- > 0;) {
-        if (i == j) continue;
-        if (x[i] + 1 < s1[i]) {
-          ++x[i];
-          xi += st1[i];
-          more = true;
-          break;
+  // M1-type edges. In reflected coordinates an inner edge runs x -> x+e_j;
+  // in a copy with odd y_j that is high-to-low in the product, so the low
+  // end is x+e_j and the path runs reversed. pos[2i + parity] is the low
+  // end's place inside a copy. A copy lies in the box while the edge's
+  // high end does, so along each axis the copies in the box are a prefix
+  // [0, copies.hi[i]): every whole copy, and the partial one if the edge
+  // fits in it. z and low follow the odometer axis by axis.
+  BoxOdometer copies(st2);
+  SmallVec<u64, 8> pos(2 * k, 0);
+  inner_->walk_edge_paths(
+      ibox, [&](const MeshEdge& e, const Coord& x, const CubePath& p) {
+        const u32 j = e.axis;
+        for (u32 i = 0; i < k; ++i) {
+          pos[2 * i] = x[i];
+          pos[2 * i + 1] = s1[i] - 1 - x[i] - (i == j);
+          const u64 high = pos[2 * i + (full[i] & 1)] + (i == j);
+          copies.hi[i] = full[i] + (high < part[i]);
         }
-        xi -= x[i] * st1[i];
-        x[i] = 0;
-      }
-    }
-  });
+        if (!copies.start()) return;
+        for (u32 i = 0; i < k; ++i) set_z(i, pos[2 * i]);
+        const std::size_t m = p.size();
+        q.resize(m);
+        for (u32 a = 0; a < k;) {
+          const CubeNode o = om[copies.index] << d1;
+          if (copies.c[j] & 1)
+            for (std::size_t t = 0; t < m; ++t) q[t] = p[m - 1 - t] | o;
+          else
+            for (std::size_t t = 0; t < m; ++t) q[t] = p[t] | o;
+          fn(MeshEdge{low, low + st[j], j, false}, z, q);
+          a = copies.next();
+          for (u32 i = a; i < k; ++i) {
+            const u64 y = copies.c[i];
+            set_z(i, y * s1[i] + pos[2 * i + (y & 1)]);
+          }
+        }
+      });
+
+  // M2-type edges. Copies y and y+e_j meet on the inner face x_j =
+  // l1_j-1 (y_j even) or x_j = 0 (y_j odd), at product coordinate
+  // y_j * l1_j + l1_j - 1; each outer path is carried once per inner
+  // node of that face inside the box: faces[2j + parity of y_j] when
+  // copy y lies wholly in the box, the face clipped by the box (`cut`)
+  // when it does not.
+  std::vector<BoxOdometer> faces(2 * k, BoxOdometer(st1));
+  for (u32 f = 0; f < 2 * k; ++f) {
+    const u32 j = f / 2;
+    faces[f].hi = s1.extents();
+    faces[f].lo[j] = (f & 1) ? 0 : s1[j] - 1;
+    faces[f].hi[j] = faces[f].lo[j] + 1;
+    faces[f].start();
+  }
+  BoxOdometer cut(st1);
+  outer_->walk_edge_paths(
+      obox, [&](const MeshEdge& e, const Coord& y, const CubePath& p) {
+        const u32 j = e.axis;
+        bool whole = true;
+        for (u32 i = 0; i < k; ++i) whole &= y[i] < full[i];
+        BoxOdometer& face = whole ? faces[2 * j + (y[j] & 1)] : cut;
+        if (whole) {
+          face.restart();
+        } else {
+          for (u32 i = 0; i < k; ++i) {
+            const u64 room = box[i] - y[i] * s1[i];  // > 0 inside obox
+            const u64 fit = std::min(room, s1[i]);
+            cut.lo[i] = (y[i] & 1) ? s1[i] - fit : 0;
+            cut.hi[i] = (y[i] & 1) ? s1[i] : fit;
+          }
+          cut.lo[j] = faces[2 * j + (y[j] & 1)].lo[j];
+          cut.hi[j] = cut.lo[j] + 1;
+          if (!cut.start()) return;
+        }
+        const auto place = [&](u32 i) {
+          const u64 x = face.c[i];
+          return y[i] * s1[i] + ((y[i] & 1) ? s1[i] - 1 - x : x);
+        };
+        for (u32 i = 0; i < k; ++i) set_z(i, place(i));
+        const std::size_t m = p.size();
+        q.resize(m);
+        for (u32 a = 0; a < k;) {
+          const CubeNode in = im[face.index];
+          for (std::size_t t = 0; t < m; ++t) q[t] = (p[t] << d1) | in;
+          fn(MeshEdge{low, low + st[j], j, false}, z, q);
+          a = face.next();
+          for (u32 i = a; i < k; ++i) set_z(i, place(i));
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -293,31 +345,12 @@ CubeNode RelabelEmbedding::map(MeshIndex idx) const {
 void RelabelEmbedding::map_all(std::vector<CubeNode>& out) const {
   std::vector<CubeNode> bm;
   base_->map_all(bm);
-  const Shape& s = guest().shape();
   const Shape& sb = base_->guest().shape();
-  const u64 n = s.num_nodes();
-  out.resize(n);
-  if (n == 0) return;
-  const u32 k = s.dims();
   // Walking target axis j moves the base index by the stride of the base
   // axis it feeds (zero for the inserted length-1 axes, which never step).
-  SmallVec<u64, 8> bstride(k, 0);
+  SmallVec<u64, 4> bstride(guest().dims(), 0);
   for (u32 i = 0; i < sb.dims(); ++i) bstride[axis_of_base_[i]] = sb.stride(i);
-  Coord c(k, 0);
-  u64 bi = 0;
-  for (u64 idx = 0;;) {
-    out[idx] = bm[bi];
-    if (++idx == n) break;
-    for (u32 j = k; j-- > 0;) {
-      if (c[j] + 1 < s[j]) {
-        ++c[j];
-        bi += bstride[j];
-        break;
-      }
-      bi -= c[j] * bstride[j];
-      c[j] = 0;
-    }
-  }
+  gather(guest().shape(), std::move(bstride), bm, out);
 }
 
 CubePath RelabelEmbedding::edge_path(const MeshEdge& e) const {
@@ -327,20 +360,27 @@ CubePath RelabelEmbedding::edge_path(const MeshEdge& e) const {
       MeshEdge{to_base(e.a), to_base(e.b), static_cast<u32>(baxis), e.wrap});
 }
 
-void RelabelEmbedding::for_each_edge_path(const EdgePathFn& fn) const {
+void RelabelEmbedding::walk_edge_paths(const Coord& box, EdgeWalkFn fn) const {
+  const Shape& s = guest().shape();
   const Shape& sb = base_->guest().shape();
   const u32 kb = sb.dims();
   SmallVec<u64, 4> tstride(kb, 0);  // base axis -> stride of its target axis
-  for (u32 i = 0; i < kb; ++i)
-    tstride[i] = guest().shape().stride(axis_of_base_[i]);
-  base_->for_each_edge_path([&](const MeshEdge& e, const CubePath& p) {
-    u64 rest = e.a, a = 0;
-    for (u32 i = kb; i-- > 0;) {
-      a += (rest % sb[i]) * tstride[i];
-      rest /= sb[i];
-    }
-    fn(MeshEdge{a, a + tstride[e.axis], axis_of_base_[e.axis], false}, p);
-  });
+  Coord bbox(kb, 0);
+  for (u32 i = 0; i < kb; ++i) {
+    tstride[i] = s.stride(axis_of_base_[i]);
+    bbox[i] = box[axis_of_base_[i]];
+  }
+  Coord c(s.dims(), 0);  // inserted length-1 axes stay at 0
+  base_->walk_edge_paths(
+      bbox, [&](const MeshEdge& e, const Coord& cb, const CubePath& p) {
+        u64 a = 0;
+        for (u32 i = 0; i < kb; ++i) {
+          c[axis_of_base_[i]] = cb[i];
+          a += cb[i] * tstride[i];
+        }
+        fn(MeshEdge{a, a + tstride[e.axis], axis_of_base_[e.axis], false}, c,
+           p);
+      });
 }
 
 // ---------------------------------------------------------------------------
@@ -364,27 +404,10 @@ CubeNode SubmeshEmbedding::map(MeshIndex idx) const {
 void SubmeshEmbedding::map_all(std::vector<CubeNode>& out) const {
   std::vector<CubeNode> bm;
   base_->map_all(bm);
-  const Shape& s = guest().shape();
   const Shape& sb = base_->guest().shape();
-  const u64 n = s.num_nodes();
-  out.resize(n);
-  if (n == 0) return;
-  const u32 k = s.dims();
-  Coord c(k, 0);
-  u64 bi = 0;
-  for (u64 idx = 0;;) {
-    out[idx] = bm[bi];
-    if (++idx == n) break;
-    for (u32 j = k; j-- > 0;) {
-      if (c[j] + 1 < s[j]) {
-        ++c[j];
-        bi += sb.stride(j);
-        break;
-      }
-      bi -= c[j] * sb.stride(j);
-      c[j] = 0;
-    }
-  }
+  SmallVec<u64, 4> bstride(sb.dims(), 0);
+  for (u32 i = 0; i < sb.dims(); ++i) bstride[i] = sb.stride(i);
+  gather(guest().shape(), std::move(bstride), bm, out);
 }
 
 CubePath SubmeshEmbedding::edge_path(const MeshEdge& e) const {
@@ -392,23 +415,19 @@ CubePath SubmeshEmbedding::edge_path(const MeshEdge& e) const {
   return base_->edge_path(MeshEdge{to_base(e.a), to_base(e.b), e.axis, false});
 }
 
-void SubmeshEmbedding::for_each_edge_path(const EdgePathFn& fn) const {
+void SubmeshEmbedding::walk_edge_paths(const Coord& box, EdgeWalkFn fn) const {
+  // The base walks only the box, which already lies inside this guest, so
+  // every edge it reports is ours: re-index it, drop nothing.
   const Shape& s = guest().shape();
-  const Shape& sb = base_->guest().shape();
   const u32 k = s.dims();
   SmallVec<u64, 4> stride(k, 0);
   for (u32 i = 0; i < k; ++i) stride[i] = s.stride(i);
-  // Keep the base edges with both ends inside the guest, re-indexed.
-  base_->for_each_edge_path([&](const MeshEdge& e, const CubePath& p) {
-    u64 rest = e.a, a = 0;
-    for (u32 i = k; i-- > 0;) {
-      const u64 c = rest % sb[i];
-      rest /= sb[i];
-      if (c + (i == e.axis ? 1 : 0) >= s[i]) return;
-      a += c * stride[i];
-    }
-    fn(MeshEdge{a, a + stride[e.axis], e.axis, false}, p);
-  });
+  base_->walk_edge_paths(
+      box, [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
+        u64 a = 0;
+        for (u32 i = 0; i < k; ++i) a += c[i] * stride[i];
+        fn(MeshEdge{a, a + stride[e.axis], e.axis, false}, c, p);
+      });
 }
 
 // ---------------------------------------------------------------------------

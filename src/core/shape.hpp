@@ -140,4 +140,65 @@ class Shape {
   SmallVec<u64, 4> ext_;
 };
 
+/// A row-major odometer (axis 0 slowest) over a box lo <= c < hi that
+/// keeps a linear index of `c` in step: every advance adds one delta
+/// precomputed per axis, so the mesh walks never divide to find a node's
+/// coordinate or index. `stride` gives the index's per-axis weights (a
+/// weight of 0 moves `c` but not the index).
+class BoxOdometer {
+ public:
+  explicit BoxOdometer(SmallVec<u64, 4> stride)
+      : lo(stride.size(), 0),
+        hi(stride.size(), 0),
+        c(stride.size(), 0),
+        stride_(std::move(stride)),
+        delta_(stride_.size(), 0) {}
+
+  Coord lo, hi;   ///< the box; set before start()
+  Coord c;        ///< the current coordinate
+  u64 index = 0;  ///< sum c[i] * stride[i]
+
+  /// Go to c = lo. False (and nothing to visit) when the box is empty.
+  bool start() {
+    const u32 k = static_cast<u32>(c.size());
+    u64 carry = 0;  // sum over later axes of (hi - 1 - lo) * stride
+    first_ = 0;
+    for (u32 i = k; i-- > 0;) {
+      if (hi[i] <= lo[i]) return false;
+      first_ += lo[i] * stride_[i];
+      delta_[i] = stride_[i] - carry;  // wraps modulo 2^64 like the index
+      carry += (hi[i] - 1 - lo[i]) * stride_[i];
+    }
+    restart();
+    return true;
+  }
+
+  /// Back to c = lo in the box of the last successful start().
+  void restart() {
+    for (std::size_t i = 0; i < c.size(); ++i) c[i] = lo[i];
+    index = first_;
+  }
+
+  /// Step to the next coordinate: the last axis that can still grow grows
+  /// by one and every later axis returns to lo. Returns the axis that
+  /// grew, or dims() once the box is exhausted (c is then back at lo).
+  u32 next() {
+    const u32 k = static_cast<u32>(c.size());
+    for (u32 i = k; i-- > 0;) {
+      if (c[i] + 1 < hi[i]) {
+        ++c[i];
+        index += delta_[i];
+        return i;
+      }
+      c[i] = lo[i];
+    }
+    return k;
+  }
+
+ private:
+  SmallVec<u64, 4> stride_;
+  SmallVec<u64, 4> delta_;
+  u64 first_ = 0;  // the index at lo
+};
+
 }  // namespace hj

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <unordered_map>
 
 #include "core/bitword.hpp"
@@ -17,10 +18,33 @@ void add_error(VerifyReport& r, std::string msg) {
   if (r.errors.size() < kMaxErrors) r.errors.push_back(std::move(msg));
 }
 
-void bump(std::vector<u64>& hist, std::size_t bin) {
-  if (hist.size() <= bin) hist.resize(bin + 1, 0);
-  ++hist[bin];
-}
+/// A histogram counted in a fixed local array, so the per-edge and
+/// per-link counts never resize a vector; only bins past the array
+/// (paths or loads no construction comes near) go to a map. write()
+/// yields one entry per bin up to the largest bin counted, none if none
+/// was: the vector the report has always held.
+class BinCounter {
+ public:
+  void add(u64 bin) {
+    if (bin < kBins)
+      ++bins_[bin];
+    else
+      ++overflow_[bin];
+    top_ = std::max(top_, bin + 1);
+  }
+
+  void write(std::vector<u64>& out) const {
+    out.assign(top_, 0);
+    for (u64 b = 0; b < std::min<u64>(top_, kBins); ++b) out[b] = bins_[b];
+    for (const auto& [b, count] : overflow_) out[b] = count;
+  }
+
+ private:
+  static constexpr u64 kBins = 16;
+  u64 bins_[kBins] = {};
+  u64 top_ = 0;  // largest bin counted + 1
+  std::map<u64, u64> overflow_;
+};
 
 /// Per-thread scratch arena. verify() used to allocate (and zero) a node
 /// map, a 2^n load array and a 2^n*n congestion array per call; under the
@@ -32,12 +56,92 @@ struct VerifyScratch {
   std::vector<u32> dense_load;     // all-zero between calls
   std::vector<u32> dense_cong;     // all-zero between calls
   std::vector<u64> cong_dirty;     // first-touch keys into dense_cong
+  std::vector<u64> walk_seen;      // EdgeCover's bitmap; all-zero between calls
 };
 
 VerifyScratch& scratch() {
   thread_local VerifyScratch s;
   return s;
 }
+
+/// The exact-cover check of an edge walk: verify() trusts an embedding's
+/// for_each_edge_path walk to visit every guest edge once, and this is
+/// where that trust is checked. One bit per slot axis * n + a lives in
+/// the scratch arena. The slots at an axis's last coordinate are no
+/// guest edge's `a` end, so they start set and any claim on one fails
+/// as taken; wrap edges (checked by division, they are few) use a second
+/// bank of slots. The walk covers the guest exactly when every claim
+/// succeeds and the claims number guest_edges.
+class EdgeCover {
+ public:
+  EdgeCover(const Mesh& g, VerifyScratch& s)
+      : g_(g), k_(g.dims()), n_(g.num_nodes()) {
+    stride_.assign(k_, 0);
+    for (u32 i = 0; i < k_; ++i) stride_[i] = g.shape().stride(i);
+    words_ = ((g.any_wrap() ? 2 : 1) * k_ * n_ + 63) / 64;
+    if (s.walk_seen.size() < words_) s.walk_seen.resize(words_, 0);
+    bits_ = s.walk_seen.data();
+    for (u32 j = 0; j < k_; ++j) {
+      const u64 l = g.shape()[j], st = stride_[j];
+      for (u64 line = (l - 1) * st; line < n_; line += l * st)
+        for (u64 r = 0; r < st; ++r) mark(j * n_ + line + r);
+    }
+  }
+
+  // Scrub every word this check could have touched: the arena must read
+  // all-zero for the next verify on this thread.
+  ~EdgeCover() { std::fill_n(bits_, words_, 0); }
+
+  EdgeCover(const EdgeCover&) = delete;
+  EdgeCover& operator=(const EdgeCover&) = delete;
+
+  /// Marks `e` visited; false unless `e` is a guest edge not seen before.
+  bool claim(const MeshEdge& e) {
+    if (e.axis >= k_ || e.a >= n_) return false;
+    if (!e.wrap) return e.b == e.a + stride_[e.axis] && mark(e.axis * n_ + e.a);
+    return is_wrap_edge(e) && mark((k_ + e.axis) * n_ + e.a);
+  }
+
+  /// Why claim(e) failed: no guest edge, or one visited before.
+  [[nodiscard]] std::string why_not(const MeshEdge& e) const {
+    bool edge = e.axis < k_ && e.a < n_;
+    if (edge && !e.wrap) {
+      const u64 st = stride_[e.axis], l = g_.shape()[e.axis];
+      edge = (e.a / st) % l != l - 1 && e.b == e.a + st;
+    } else if (edge) {
+      edge = is_wrap_edge(e);
+    }
+    std::string out = edge ? "edge walk visits edge (" : "edge walk visits (";
+    out += std::to_string(e.a);
+    out += ',';
+    out += std::to_string(e.b);
+    out += ") on axis ";
+    out += std::to_string(e.axis);
+    return out += edge ? " twice" : ", which is no guest edge";
+  }
+
+ private:
+  /// Sets bit `slot`; false if it was already set.
+  bool mark(u64 slot) {
+    const u64 w = bits_[slot >> 6], m = u64{1} << (slot & 63);
+    bits_[slot >> 6] = w | m;
+    return (w & m) == 0;
+  }
+  /// A wrap edge runs from coordinate l-1 back to 0 on a wrapped axis;
+  /// wrap edges are few, so this check may divide.
+  [[nodiscard]] bool is_wrap_edge(const MeshEdge& e) const {
+    const u64 st = stride_[e.axis], l = g_.shape()[e.axis];
+    return g_.wraps(e.axis) && l > 2 && (e.a / st) % l == l - 1 &&
+           e.b == e.a - (l - 1) * st;
+  }
+
+  const Mesh& g_;
+  u32 k_;
+  u64 n_;
+  u64* bits_ = nullptr;
+  u64 words_ = 0;
+  SmallVec<u64, 4> stride_;
+};
 
 /// Congestion accumulator: dense array for small cubes, hash map beyond.
 /// The dense array lives in the scratch arena with a first-touch dirty
@@ -77,17 +181,19 @@ class CongestionCounter {
     max_c = 0;
     sum = 0;
     used = 0;
+    BinCounter bins;
     auto account = [&](u64 c) {
       if (c == 0) return;
       max_c = std::max<u32>(max_c, static_cast<u32>(c));
       sum += c;
       ++used;
-      bump(hist, static_cast<std::size_t>(c));
+      bins.add(c);
     };
     if (dense_)
       for (u64 k : s_.cong_dirty) account(s_.dense_cong[k]);
     else
       for (const auto& [k, c] : sparse_) account(c);
+    bins.write(hist);
   }
 
  private:
@@ -154,6 +260,7 @@ VerifyReport verify_impl(const Embedding& emb, const FaultSet* faults) {
   CongestionCounter cong(r.host_dim, s);
   u64 dil_sum = 0;
   u32 dil_max = 0;
+  BinCounter dil_bins;
   u64 bad_paths = 0;
   // The invalid edge the report names: the one with the smallest slot
   // axis * num_nodes + a, i.e. the first in for_each_edge order, whatever
@@ -179,7 +286,7 @@ VerifyReport verify_impl(const Embedding& emb, const FaultSet* faults) {
     const u32 d = static_cast<u32>(p.size() - 1);
     dil_sum += d;
     dil_max = std::max(dil_max, d);
-    bump(r.dilation_histogram, d);
+    dil_bins.add(d);
     if (faults && !faults->path_avoids(p)) {
       ++r.faulted_paths;
       r.fault_free = false;
@@ -197,7 +304,7 @@ VerifyReport verify_impl(const Embedding& emb, const FaultSet* faults) {
       const CubeNode va = nm[e.a], vb = nm[e.b];
       if (va == vb) {
         // Degenerate single-node path [va]: valid, dilation 0, no hops.
-        bump(r.dilation_histogram, 0);
+        dil_bins.add(0);
         if (faults) {
           CubePath p;
           p.push_back(va);
@@ -214,7 +321,7 @@ VerifyReport verify_impl(const Embedding& emb, const FaultSet* faults) {
         // never p[0]; mirror that exactly.
         dil_sum += 1;
         dil_max = std::max<u32>(dil_max, 1);
-        bump(r.dilation_histogram, 1);
+        dil_bins.add(1);
         if (faults) {
           CubePath p;
           p.push_back(va);
@@ -230,7 +337,26 @@ VerifyReport verify_impl(const Embedding& emb, const FaultSet* faults) {
       generic(e, emb.edge_path(e));
     });
   } else {
-    emb.for_each_edge_path(generic);
+    // The embedding's own walk: check that it covers the guest exactly
+    // before trusting its edges. A rejected claim is no guest edge (or
+    // one already counted), so none of its path is measured.
+    EdgeCover cover(guest, s);
+    u64 covered = 0, bad_claims = 0;
+    std::string first_claim;
+    emb.walk_edge_paths(
+        guest.shape().extents(),
+        [&](const MeshEdge& e, const Coord&, const CubePath& p) {
+          if (cover.claim(e)) {
+            ++covered;
+            generic(e, p);
+          } else if (bad_claims++ == 0) {
+            first_claim = cover.why_not(e);
+          }
+        });
+    if (bad_claims > 0) add_error(r, first_claim);
+    if (covered != r.guest_edges)
+      add_error(r, "edge walk covers " + std::to_string(covered) + " of " +
+                       std::to_string(r.guest_edges) + " guest edges");
   }
   if (bad_paths > 0)
     add_error(r, "invalid path for edge (" + std::to_string(first_bad.a) +
@@ -238,6 +364,7 @@ VerifyReport verify_impl(const Embedding& emb, const FaultSet* faults) {
                      std::to_string(first_bad.axis));
   if (bad_paths > 1)
     add_error(r, std::to_string(bad_paths) + " invalid edge paths in total");
+  dil_bins.write(r.dilation_histogram);
 
   r.dilation = dil_max;
   r.avg_dilation =

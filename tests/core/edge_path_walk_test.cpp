@@ -161,6 +161,67 @@ TEST_F(EdgePathWalk, AgreesWithEdgePathForEverySubclass) {
   }
 }
 
+/// One visit of a walk: the edge, its `a` end's coordinate and its path.
+struct Visit {
+  MeshEdge e;
+  Coord c;
+  CubePath p;
+  friend bool operator==(const Visit& x, const Visit& y) {
+    return x.e.a == y.e.a && x.e.b == y.e.b && x.e.axis == y.e.axis &&
+           x.e.wrap == y.e.wrap && x.c == y.c && x.p == y.p;
+  }
+};
+
+std::vector<Visit> walk(const Embedding& emb, const Coord& box) {
+  std::vector<Visit> out;
+  emb.walk_edge_paths(box,
+                      [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
+                        out.push_back({e, c, p});
+                      });
+  return out;
+}
+
+TEST_F(EdgePathWalk, BoxWalkIsTheFullWalkFiltered) {
+  // A submesh hands its box down instead of filtering its base's walk,
+  // so every walk must visit, for any box, exactly the edges of its full
+  // walk that lie inside the box, in the same order; and every visit
+  // must carry the true coordinate of its `a` end.
+  for (int trial = 0; trial < 60; ++trial) {
+    const u32 k = 1 + static_cast<u32>(rng_() % 3);
+    const std::string tag = "trial " + std::to_string(trial);
+    const EmbeddingPtr p = std::make_shared<MeshProductEmbedding>(base(k), base(k));
+    const EmbeddingPtr b2 = base(2);
+    const Shape& s2 = b2->guest().shape();
+    const std::vector<std::pair<EmbeddingPtr, std::string>> embs = {
+        {gray(shape(k, 9)), "gray"},
+        {explicit_of(shape(k, 6)), "explicit"},
+        {p, "product"},
+        {std::make_shared<MeshProductEmbedding>(explicit_of(shape(k, 3)), p),
+         "nested product"},
+        {std::make_shared<RelabelEmbedding>(
+             b2, Shape{s2[1], 1, s2[0]}, SmallVec<u32, 4>{2, 0}),
+         "relabel"},
+        {std::make_shared<m2o::ContractionEmbedding>(base(k), shape(k, 3)),
+         "default walk"}};
+    for (const auto& [emb, what] : embs) {
+      const Shape& s = emb->guest().shape();
+      Coord box;
+      for (u32 i = 0; i < s.dims(); ++i) box.push_back(1 + rng_() % s[i]);
+      const std::vector<Visit> full = walk(*emb, s.extents());
+      std::vector<Visit> kept;
+      for (const Visit& v : full) {
+        EXPECT_EQ(v.c, s.coord(v.e.a)) << tag << " " << what;
+        bool inside = true;
+        for (u32 i = 0; i < s.dims(); ++i)
+          inside &= v.c[i] + (i == v.e.axis) < box[i];
+        if (inside) kept.push_back(v);
+      }
+      EXPECT_TRUE(walk(*emb, box) == kept) << tag << " " << what;
+      if (HasFailure()) return;
+    }
+  }
+}
+
 TEST_F(EdgePathWalk, AgreesWithEdgePathForTorusEmbeddings) {
   torus::TorusPlanner planner;
   for (const Shape& s : {Shape{6}, Shape{10, 6}, Shape{5, 7, 4},

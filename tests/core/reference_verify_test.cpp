@@ -27,6 +27,7 @@
 #include "core/router.hpp"
 #include "core/verify.hpp"
 #include "manytoone/manytoone.hpp"
+#include "property_shapes.hpp"
 #include "search/provider.hpp"
 #include "store/precompute.hpp"
 
@@ -459,10 +460,10 @@ class Mutant final : public Embedding {
     return p;
   }
 
-  void for_each_edge_path(const EdgePathFn& fn) const override {
+  void walk_edge_paths(const Coord&, EdgeWalkFn fn) const override {
     const std::vector<MeshEdge> edges = guest().edges();
     for (auto it = edges.rbegin(); it != edges.rend(); ++it)
-      fn(*it, edge_path(*it));
+      fn(*it, guest().shape().coord(it->a), edge_path(*it));
   }
 
  private:
@@ -503,6 +504,194 @@ TEST(ReferenceVerify, MutantsAreKilledByBoth) {
   std::printf("reference checker: %u/%u mutants killed by both checkers\n",
               killed, mutants);
   EXPECT_EQ(killed, mutants);
+}
+
+// --- Walk mutants -------------------------------------------------------------
+
+enum class WalkFault { Skip, Duplicate, LastCoordinate, Reversed };
+
+/// A certified plan whose paths are all correct but whose edge walk is
+/// not: its first edge is dropped, repeated, replaced by the slot at its
+/// axis's last coordinate (no guest edge has its `a` end there) or
+/// reported high end first. The reference checker is not asked: it reads
+/// edge_path(), which the walk never changes.
+class WalkMutant final : public Embedding {
+ public:
+  WalkMutant(EmbeddingPtr base, WalkFault f)
+      : Embedding(base->guest(), base->host_dim()),
+        base_(std::move(base)),
+        f_(f) {}
+
+  CubeNode map(MeshIndex i) const override { return base_->map(i); }
+  CubePath edge_path(const MeshEdge& e) const override {
+    return base_->edge_path(e);
+  }
+  bool one_to_one() const noexcept override { return base_->one_to_one(); }
+
+  void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const override {
+    const Shape& s = guest().shape();
+    bool first = true;
+    base_->walk_edge_paths(
+        box, [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
+          if (!first) return fn(e, c, p);
+          first = false;
+          switch (f_) {
+            case WalkFault::Skip:
+              return;
+            case WalkFault::Duplicate:
+              fn(e, c, p);
+              return fn(e, c, p);
+            case WalkFault::LastCoordinate: {
+              Coord last = c;
+              last[e.axis] = s[e.axis] - 1;
+              const MeshIndex a = s.index(last);
+              return fn(MeshEdge{a, a + s.stride(e.axis), e.axis, false}, last,
+                        p);
+            }
+            case WalkFault::Reversed: {
+              CubePath q = p;
+              q.reverse();
+              return fn(MeshEdge{e.b, e.a, e.axis, false}, s.coord(e.b), q);
+            }
+          }
+        });
+  }
+
+ private:
+  EmbeddingPtr base_;
+  WalkFault f_;
+};
+
+bool names_the_walk(const VerifyReport& r) {
+  for (const std::string& e : r.errors)
+    if (e.rfind("edge walk ", 0) == 0) return true;
+  return false;
+}
+
+TEST(ReferenceVerify, WalkMutantsAreKilled) {
+  // verify() measures a plan from its edge walk, so a walk that skips,
+  // repeats or invents an edge must not be certified, whatever its paths.
+  Planner planner;
+  const PlanResult p = planner.plan(Shape{7, 9, 15});
+  ASSERT_TRUE(p.report.valid) << p.plan;
+  ASSERT_FALSE(p.embedding->unit_paths()) << p.plan;
+  ASSERT_EQ(p.report.guest_edges, 2532u);
+  u32 mutants = 0, killed = 0;
+  for (const Shape& s : {Shape{7, 9, 15}, Shape{3, 5}, Shape{11, 11},
+                         Shape{5, 6, 7}, Shape{12, 20}, Shape{9, 9, 9}}) {
+    const PlanResult base = planner.plan(s);
+    for (WalkFault f : {WalkFault::Skip, WalkFault::Duplicate,
+                        WalkFault::LastCoordinate, WalkFault::Reversed}) {
+      const std::string what =
+          base.plan + " walk fault " + std::to_string(static_cast<int>(f));
+      const VerifyReport v = verify(WalkMutant(base.embedding, f));
+      ++mutants;
+      killed += !v.valid && names_the_walk(v);
+      EXPECT_FALSE(v.valid) << what;
+      EXPECT_TRUE(names_the_walk(v)) << what;
+    }
+  }
+  const VerifyReport skip = verify(WalkMutant(p.embedding, WalkFault::Skip));
+  ASSERT_EQ(skip.errors.size(), 1u);
+  EXPECT_EQ(skip.errors.front(), "edge walk covers 2531 of 2532 guest edges");
+  const VerifyReport twice =
+      verify(WalkMutant(p.embedding, WalkFault::Duplicate));
+  ASSERT_FALSE(twice.errors.empty());
+  EXPECT_NE(twice.errors.front().find("twice"), std::string::npos);
+  const VerifyReport last =
+      verify(WalkMutant(p.embedding, WalkFault::LastCoordinate));
+  ASSERT_FALSE(last.errors.empty());
+  EXPECT_NE(last.errors.front().find("no guest edge"), std::string::npos);
+  std::printf("walk mutants: %u/%u killed\n", killed, mutants);
+  EXPECT_EQ(killed, mutants);
+}
+
+TEST(ReferenceVerify, WrapEdgeWalksAreChecked) {
+  // Wrap edges take the second bank of the cover bitmap. An honest walk
+  // of a torus certifies; one that reports a wrap edge as a plain edge
+  // (or the other way round) does not.
+  const Mesh torus = Mesh::torus(Shape{4, 8});
+  const auto gray = std::make_shared<GrayEmbedding>(torus);
+  EXPECT_TRUE(verify(*ExplicitEmbedding::copy_of(*gray)).valid);
+
+  class Unwrapped final : public Embedding {
+   public:
+    explicit Unwrapped(EmbeddingPtr base)
+        : Embedding(base->guest(), base->host_dim()), base_(std::move(base)) {}
+    CubeNode map(MeshIndex i) const override { return base_->map(i); }
+    void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const override {
+      base_->walk_edge_paths(
+          box, [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
+            MeshEdge f = e;
+            if (e.wrap) {  // claim the wrap slot as the plain edge a -> a+st
+              f.wrap = false;
+              f.b = e.a + guest().shape().stride(e.axis);
+            }
+            fn(f, c, p);
+          });
+    }
+
+   private:
+    EmbeddingPtr base_;
+  };
+  const VerifyReport r = verify(Unwrapped(ExplicitEmbedding::copy_of(*gray)));
+  EXPECT_FALSE(r.valid);
+  EXPECT_TRUE(names_the_walk(r));
+}
+
+// --- Differential coverage ----------------------------------------------------
+
+TEST(ReferenceVerify, AgreesOnThePropertyShapes) {
+  // The 520 seeded shapes of the planner property harness, planned with
+  // the search provider, as that harness plans them.
+  std::mt19937_64 rng(property::kSeed);
+  Planner planner;
+  planner.set_direct_provider(search::make_search_provider(100'000));
+  for (int t = 0; t < property::kShapes; ++t) {
+    const Shape s = property::random_shape(rng, 1, 3);
+    const PlanResult p = planner.plan(s);
+    compare(p.report, reference_verify(*p.embedding, nullptr),
+            s.to_string() + ": " + p.plan);
+  }
+}
+
+TEST(ReferenceVerify, AgreesOnManyToOnePlans) {
+  // Contraction, cube folds and sub-cube placements, over unit-path Gray
+  // bases (the unit scan) and dilation-2 planned bases (the edge walk).
+  Planner planner;
+  u32 checked = 0;
+  for (const Shape& s : {Shape{3, 5}, Shape{7, 9}, Shape{3, 3, 7},
+                         Shape{5, 6, 7}, Shape{4, 4}}) {
+    const EmbeddingPtr planned = planner.plan(s).embedding;
+    const EmbeddingPtr gray = std::make_shared<GrayEmbedding>(Mesh(s));
+    for (const EmbeddingPtr& base : {planned, gray}) {
+      const std::string what = s.to_string() +
+                               (base == gray ? " gray" : " planned");
+      const u32 n = base->host_dim();
+      SmallVec<u64, 4> f(s.dims(), 1);
+      f[0] = 2;
+      f[s.dims() - 1] *= 3;
+      const std::vector<EmbeddingPtr> m2o = {
+          std::make_shared<m2o::ContractionEmbedding>(base, Shape{f}),
+          std::make_shared<m2o::CubeFoldEmbedding>(base, n - 2),
+          std::make_shared<m2o::CubeFoldEmbedding>(base, 0),
+          std::make_shared<m2o::SubcubeEmbedding>(base, n + 2, u64{3} << n,
+                                                  u64{1} << n)};
+      for (const EmbeddingPtr& e : m2o) {
+        ASSERT_FALSE(e->one_to_one()) << what;
+        expect_agrees(*e, what + " " + std::to_string(checked));
+        ++checked;
+      }
+    }
+  }
+  for (const auto& [s, n] : {std::pair{Shape{19, 19}, 5u},
+                             std::pair{Shape{8, 8}, 4u},
+                             std::pair{Shape{6, 10, 12}, 6u}}) {
+    const m2o::ContractPlan c = m2o::contract_to_cube(s, n);
+    compare(c.report, reference_verify(*c.embedding, nullptr), c.plan);
+    ++checked;
+  }
+  EXPECT_EQ(checked, 43u);
 }
 
 // --- The repair kernel ------------------------------------------------------

@@ -1,0 +1,47 @@
+#!/bin/sh
+# Print the planner's certificate (`hj_embed plan`) for a fixed set of
+# shapes: Gray, direct, search, product, sub-of-product and relabelled
+# plans, the deep product chains, rank-1 to rank-3 meshes and one
+# non-default objective. Every line is deterministic, so the output is a
+# golden of the plan strings and of every verify() report field printed.
+#
+#   tools/plan_certificates.sh build/examples/hj_embed \
+#     | cmp - bench/golden/hj_plan_certificates.txt
+set -eu
+hj_embed=${1:?usage: tools/plan_certificates.sh <path to hj_embed>}
+while read -r args; do
+  echo "== plan $args"
+  # shellcheck disable=SC2086  # word splitting is the point
+  "$hj_embed" plan $args
+done <<'SHAPES'
+17
+100
+8 8
+30 31
+4 4 8
+2 16 32
+7 7 7
+3 5
+7 9
+11 11
+3 3 3
+3 3 7
+5 5 5
+6 10
+12 20
+21 21
+5 6 7
+9 9 9
+6 10 12
+12 12 12
+19 19
+3 3 23
+10 10 17
+10 10 32
+7 9 15
+11 13 23
+13 25 41
+15 9 7
+20 12
+6 10 12 --objective=wirelength
+SHAPES
