@@ -5,6 +5,7 @@
 #include <mutex>
 
 #include "core/bitword.hpp"
+#include "core/certify.hpp"
 #include "core/coverage.hpp"
 #include "core/direct.hpp"
 #include "core/parallel.hpp"
@@ -126,7 +127,7 @@ ShardedPlanCache& Planner::cache() {
 void Planner::measure(Entry& e) const {
   if (!cost::needs_measurement(opts_.objective) || !e.emb || e.measured)
     return;
-  const VerifyReport r = verify(*e.emb);
+  const VerifyReport r = certify(*e.emb);
   e.dil = r.dilation;
   e.cong = r.congestion;
   e.wl = r.wirelength;
@@ -371,9 +372,19 @@ PlanResult Planner::plan(const Shape& shape) {
   Entry e = best(shape, kExtendTopLevel);
   PlanResult out;
   out.embedding = e.emb;
+  bool composed = false;
   {
-    HJ_SPAN("plan.verify");
-    out.report = verify(*e.emb);
+    HJ_SPAN("plan.certify");
+    out.report = certify(*e.emb, &composed);
+  }
+  // Deterministic-kind: plan() runs once per canonical shape of a batch,
+  // and which path certified a plan is a function of the plan.
+  if (obs::enabled()) {
+    auto& reg = obs::Registry::global();
+    static obs::Counter& composed_plans =
+        reg.counter("planner.certify.composed");
+    static obs::Counter& walked_plans = reg.counter("planner.certify.walked");
+    (composed ? composed_plans : walked_plans).add();
   }
   out.plan = plan_string(e);
   // Timing-kind: plan() runs on batch worker threads, so emission order
@@ -391,7 +402,7 @@ PlanResult Planner::plan(const Shape& shape) {
 std::string Planner::plan_string(const Entry& e) const {
   // Non-default objectives record the achieved gaps in the plan string
   // (the default keeps the historical strings, which golden tests pin).
-  // Their entries are always measured, so cong/wl are verify()'s values.
+  // Their entries are always measured, so cong/wl are certify()'s values.
   if (opts_.objective == cost::Objective::Lexicographic) return e.desc;
   const cost::Bounds b = cost::lower_bounds(e.emb->guest(), e.emb->host_dim(),
                                             e.emb->one_to_one());

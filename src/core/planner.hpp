@@ -20,7 +20,8 @@
 // All leaves have dilation 1 (Gray) or 2 (tables/search), and products
 // and submeshes preserve the maximum, so every plan has dilation <= 2;
 // what varies is whether the minimal cube is reached. The returned
-// embedding always carries a freshly verified certificate.
+// embedding always carries a fresh certificate (certify(): verify()'s
+// report, composed by Theorem 3 for Gray and product plans).
 #pragma once
 
 #include <array>
@@ -66,7 +67,7 @@ struct PlannerOptions {
   /// Ranking order for candidate plans. The Lexicographic default is the
   /// historical (cube, dilation) first-wins order and reproduces the
   /// pre-cost-model planner bit-for-bit; any other objective measures
-  /// every candidate (verify() per candidate) and re-ranks ties by
+  /// every candidate (certify() per candidate) and re-ranks ties by
   /// wirelength/congestion, with the balanced router racing dimension
   /// orders on search-based node maps.
   cost::Objective objective = cost::Objective::Lexicographic;
@@ -74,7 +75,7 @@ struct PlannerOptions {
 
 struct PlanResult {
   EmbeddingPtr embedding;
-  /// Certified metrics (verify() is re-run on the final embedding).
+  /// Certified metrics (certify() of the final embedding).
   VerifyReport report;
   /// Human-readable derivation, e.g. "(direct 7x9x1 * gray 3x1x5) sub".
   std::string plan;
@@ -216,7 +217,7 @@ class Planner {
   ShardedPlanCache& cache();
   Entry best(const Shape& shape, bool may_extend);
   void consider(Entry& incumbent, Entry candidate) const;
-  /// Fill candidate.cong/wl (one verify()) when the objective ranks on
+  /// Fill candidate.cong/wl (one certify()) when the objective ranks on
   /// them; a no-op under Lexicographic or when already measured.
   void measure(Entry& e) const;
   /// True when a cube tie is still worth building under the objective

@@ -114,6 +114,8 @@ class SubmeshEmbedding final : public Embedding {
     return base_->unit_paths();
   }
 
+  [[nodiscard]] const Embedding& base() const noexcept { return *base_; }
+
  private:
   [[nodiscard]] MeshIndex to_base(MeshIndex idx) const;
 

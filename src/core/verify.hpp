@@ -1,7 +1,8 @@
 // hjembed: certified measurement of embeddings (Definitions 1-3, 5).
 //
 // Every embedding construction in this library is checked by this verifier
-// in the test suite, and the planner re-verifies what it returns. The
+// in the test suite, and the planner's certificate (certify()) is its
+// report, composed by Theorem 3 for Gray and product plans. The
 // verifier trusts nothing: it walks every guest edge, re-validates the
 // assigned cube path, and measures dilation, congestion, expansion and
 // load factor exactly as the paper defines them.

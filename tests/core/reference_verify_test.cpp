@@ -9,21 +9,30 @@
 // certified embeddings must be rejected by both, naming the same edge.
 // A relabel issues no certificate of its own: it inherits its base's, so
 // the relabel gate checks that inheritance on every axis order of every
-// canonical shape the plan store holds.
+// canonical shape the plan store holds. The planner's certificate is
+// certify(), which composes Gray, product and submesh-of-product reports
+// by Theorem 3; the composition gate checks it against a fresh verify()
+// and this checker on every canonical shape, E17 batches and the property
+// shapes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <chrono>
 #include <cstdio>
 #include <map>
 #include <random>
+#include <set>
 #include <string>
 
+#include "core/certify.hpp"
 #include "core/cost.hpp"
+#include "core/direct.hpp"
 #include "core/io.hpp"
 #include "core/parallel.hpp"
 #include "core/planner.hpp"
+#include "core/product.hpp"
 #include "core/router.hpp"
 #include "core/verify.hpp"
 #include "manytoone/manytoone.hpp"
@@ -167,6 +176,77 @@ void expect_agrees(const Embedding& emb, const FaultSet& faults,
   compare(verify(emb, faults), reference_verify(emb, &faults), what);
 }
 
+/// Every VerifyReport field, the bounds included.
+void expect_same_report(const VerifyReport& a, const VerifyReport& b,
+                        const std::string& what) {
+  const auto check = [&](bool same, const char* field) {
+    if (!same) ADD_FAILURE() << what << ": reports differ on " << field;
+  };
+  check(a.valid == b.valid, "valid");
+  check(a.errors == b.errors, "errors");
+  check(a.guest_nodes == b.guest_nodes, "guest_nodes");
+  check(a.guest_edges == b.guest_edges, "guest_edges");
+  check(a.host_dim == b.host_dim, "host_dim");
+  check(a.expansion == b.expansion, "expansion");
+  check(a.minimal_expansion == b.minimal_expansion, "minimal_expansion");
+  check(a.dilation == b.dilation, "dilation");
+  check(a.avg_dilation == b.avg_dilation, "avg_dilation");
+  check(a.dilation_histogram == b.dilation_histogram, "dilation_histogram");
+  check(a.wirelength == b.wirelength, "wirelength");
+  check(a.bounds == b.bounds, "bounds");
+  check(a.congestion == b.congestion, "congestion");
+  check(a.avg_congestion == b.avg_congestion, "avg_congestion");
+  check(a.congestion_histogram == b.congestion_histogram,
+        "congestion_histogram");
+  check(a.load_factor == b.load_factor, "load_factor");
+  check(a.fault_free == b.fault_free, "fault_free");
+  check(a.faulted_nodes == b.faulted_nodes, "faulted_nodes");
+  check(a.faulted_paths == b.faulted_paths, "faulted_paths");
+}
+
+/// The plans certify() composes: Gray plans, product chains and submeshes
+/// of either.
+enum class Composable { No, Gray, Product, Submesh };
+
+Composable composable(const Embedding& emb) {
+  if (const auto* sub = dynamic_cast<const SubmeshEmbedding*>(&emb))
+    return composable(sub->base()) == Composable::No ? Composable::No
+                                                     : Composable::Submesh;
+  if (dynamic_cast<const MeshProductEmbedding*>(&emb))
+    return Composable::Product;
+  if (dynamic_cast<const GrayEmbedding*>(&emb) && !emb.guest().any_wrap())
+    return Composable::Gray;
+  return Composable::No;
+}
+
+/// The planner's certificate of each plan, recomputed, must equal a fresh
+/// verify() in every field and the reference checker in every field it
+/// computes, and be composed exactly for the plans certify() composes.
+/// Returns the number of composed plans per Composable kind.
+std::array<u32, 4> expect_composed_certificates(
+    const std::vector<PlanResult>& plans, bool reference) {
+  std::vector<u8> composed(plans.size(), 0);
+  par::parallel_for(0, plans.size(), 16, [&](u64 lo, u64 hi) {
+    for (u64 i = lo; i < hi; ++i) {
+      const PlanResult& p = plans[i];
+      bool c = false;
+      const VerifyReport r = certify(*p.embedding, &c);
+      composed[i] = c;
+      expect_same_report(r, p.report, "certificate of " + p.plan);
+      expect_same_report(r, verify(*p.embedding), p.plan);
+      if (reference)
+        compare(r, reference_verify(*p.embedding, nullptr), p.plan);
+    }
+  });
+  std::array<u32, 4> kinds{};
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    const Composable kind = composable(*plans[i].embedding);
+    EXPECT_EQ(composed[i] != 0, kind != Composable::No) << plans[i].plan;
+    if (composed[i]) ++kinds[static_cast<u32>(kind)];
+  }
+  return kinds;
+}
+
 /// `count` shapes of the E17 distribution (rank 1-3, axes 2..32).
 std::vector<Shape> e17_shapes(std::size_t count) {
   std::mt19937_64 rng(0xE17);
@@ -193,6 +273,7 @@ TEST(ReferenceVerify, AgreesOnE17PlansAndTheirRelabels) {
     const RefReport ref = reference_verify(*p.embedding, nullptr);
     compare(p.report, ref, "certificate of " + p.plan);
     compare(verify(*p.embedding), ref, p.plan);
+    expect_same_report(p.report, verify(*p.embedding), p.plan);
     // Relabel to the reversed axis order (plan_batch already relabelled
     // every non-canonical request).
     SmallVec<u64, 4> rev = p.embedding->guest().shape().extents();
@@ -285,34 +366,6 @@ TEST(ReferenceVerify, VerifyBatchAgrees) {
 }
 
 // --- Relabels ---------------------------------------------------------------
-
-/// Every VerifyReport field, the bounds included.
-void expect_same_report(const VerifyReport& a, const VerifyReport& b,
-                        const std::string& what) {
-  const auto check = [&](bool same, const char* field) {
-    if (!same) ADD_FAILURE() << what << ": reports differ on " << field;
-  };
-  check(a.valid == b.valid, "valid");
-  check(a.errors == b.errors, "errors");
-  check(a.guest_nodes == b.guest_nodes, "guest_nodes");
-  check(a.guest_edges == b.guest_edges, "guest_edges");
-  check(a.host_dim == b.host_dim, "host_dim");
-  check(a.expansion == b.expansion, "expansion");
-  check(a.minimal_expansion == b.minimal_expansion, "minimal_expansion");
-  check(a.dilation == b.dilation, "dilation");
-  check(a.avg_dilation == b.avg_dilation, "avg_dilation");
-  check(a.dilation_histogram == b.dilation_histogram, "dilation_histogram");
-  check(a.wirelength == b.wirelength, "wirelength");
-  check(a.bounds == b.bounds, "bounds");
-  check(a.congestion == b.congestion, "congestion");
-  check(a.avg_congestion == b.avg_congestion, "avg_congestion");
-  check(a.congestion_histogram == b.congestion_histogram,
-        "congestion_histogram");
-  check(a.load_factor == b.load_factor, "load_factor");
-  check(a.fault_free == b.fault_free, "fault_free");
-  check(a.faulted_nodes == b.faulted_nodes, "faulted_nodes");
-  check(a.faulted_paths == b.faulted_paths, "faulted_paths");
-}
 
 TEST(ReferenceVerify, RelabelsOfEveryCanonicalShapeInheritTheirCertificate) {
   // The relabel gate. Each canonical shape is planned with the search
@@ -643,16 +696,15 @@ TEST(ReferenceVerify, WrapEdgeWalksAreChecked) {
 
 TEST(ReferenceVerify, AgreesOnThePropertyShapes) {
   // The 520 seeded shapes of the planner property harness, planned with
-  // the search provider, as that harness plans them.
+  // the search provider, as that harness plans them; part of the
+  // composition gate.
   std::mt19937_64 rng(property::kSeed);
   Planner planner;
   planner.set_direct_provider(search::make_search_provider(100'000));
-  for (int t = 0; t < property::kShapes; ++t) {
-    const Shape s = property::random_shape(rng, 1, 3);
-    const PlanResult p = planner.plan(s);
-    compare(p.report, reference_verify(*p.embedding, nullptr),
-            s.to_string() + ": " + p.plan);
-  }
+  std::vector<PlanResult> plans;
+  for (int t = 0; t < property::kShapes; ++t)
+    plans.push_back(planner.plan(property::random_shape(rng, 1, 3)));
+  (void)expect_composed_certificates(plans, true);
 }
 
 TEST(ReferenceVerify, AgreesOnManyToOnePlans) {
@@ -803,6 +855,381 @@ TEST(ReferenceVerify, RepairKernelVerdictsAgree) {
               accepted, rejected);
   EXPECT_GT(accepted, 20u);
   EXPECT_GT(rejected, 20u);
+}
+
+
+// --- Composed certificates ------------------------------------------------
+
+TEST(ReferenceVerify, ComposedCertificatesOfEveryCanonicalShape) {
+  // The composition gate: every canonical shape the plan store holds,
+  // planned without and with the search provider.
+  const std::vector<Shape> shapes = store::enumerate_canonical_shapes(512, 3);
+  ASSERT_EQ(shapes.size(), 4672u);
+  std::vector<PlanResult> plans;
+  for (const bool search : {false, true}) {
+    Planner planner;
+    if (search) planner.set_direct_provider(search::make_search_provider());
+    for (const Shape& s : shapes) plans.push_back(planner.plan(s));
+  }
+  const std::array<u32, 4> kinds = expect_composed_certificates(plans, true);
+  std::printf("composition gate: %zu plans, composed %u Gray, %u product, "
+              "%u submesh\n",
+              plans.size(), kinds[1], kinds[2], kinds[3]);
+  EXPECT_GT(kinds[1], 0u);
+  EXPECT_GT(kinds[2], 0u);
+  EXPECT_GT(kinds[3], 0u);
+}
+
+/// The canonical shapes of `count` E17 shapes, each once.
+std::vector<Shape> e17_canonical(std::size_t count) {
+  std::vector<Shape> out;
+  std::set<std::string> seen;
+  for (const Shape& s : e17_shapes(count))
+    if (seen.insert(s.sorted().to_string()).second) out.push_back(s.sorted());
+  return out;
+}
+
+TEST(ReferenceVerify, ComposedCertificatesOfE17Batches) {
+  // The canonical plans of eight E17 batches of 2000 shapes, planned as
+  // perfbench plans them (no provider). The reference checker, being
+  // slow, reads every 16th.
+  const std::vector<PlanResult> plans = plan_batch(e17_canonical(16000));
+  const std::array<u32, 4> kinds = expect_composed_certificates(plans, false);
+  std::vector<PlanResult> sample;
+  for (std::size_t i = 0; i < plans.size(); i += 16) sample.push_back(plans[i]);
+  (void)expect_composed_certificates(sample, true);
+  std::printf("E17 composition gate: %zu plans, composed %u Gray, %u product, "
+              "%u submesh\n",
+              plans.size(), kinds[1], kinds[2], kinds[3]);
+  EXPECT_GT(plans.size(), 3000u);
+  EXPECT_GT(kinds[1], 0u);
+  EXPECT_GT(kinds[2], 0u);
+  EXPECT_GT(kinds[3], 0u);
+}
+
+/// The leaves of a product tree, inner first.
+void leaves_of(const EmbeddingPtr& emb, std::vector<EmbeddingPtr>& out) {
+  if (const auto* p = dynamic_cast<const MeshProductEmbedding*>(emb.get())) {
+    // The factors are held by shared_ptr; alias them to the product.
+    leaves_of(EmbeddingPtr(emb, &p->inner()), out);
+    leaves_of(EmbeddingPtr(emb, &p->outer()), out);
+  } else {
+    out.push_back(emb);
+  }
+}
+
+TEST(ReferenceVerify, ProductChainsAreAssociative) {
+  // certify() folds a chain left, ((F0 * F1) * ...) * Fm, whatever its
+  // nesting: the Corollary 2 product is associative. Re-associating each
+  // E17 chain must leave every node image and every edge path unchanged.
+  u32 chains = 0;
+  for (const PlanResult& p : plan_batch(e17_canonical(1200))) {
+    EmbeddingPtr root = p.embedding;
+    const auto* sub = dynamic_cast<const SubmeshEmbedding*>(root.get());
+    if (sub) root = EmbeddingPtr(p.embedding, &sub->base());
+    std::vector<EmbeddingPtr> leaves;
+    leaves_of(root, leaves);
+    if (leaves.size() < 3) continue;
+    ++chains;
+    EmbeddingPtr folded = product_chain(leaves);
+    if (sub)
+      folded = std::make_shared<SubmeshEmbedding>(
+          folded, p.embedding->guest().shape());
+    ASSERT_EQ(folded->guest(), p.embedding->guest()) << p.plan;
+    ASSERT_EQ(folded->host_dim(), p.embedding->host_dim()) << p.plan;
+    std::vector<CubeNode> a, b;
+    p.embedding->map_all(a);
+    folded->map_all(b);
+    ASSERT_EQ(a, b) << p.plan;
+    u64 differ = 0;
+    p.embedding->guest().for_each_edge([&](const MeshEdge& e) {
+      differ += p.embedding->edge_path(e) != folded->edge_path(e);
+    });
+    EXPECT_EQ(differ, 0u) << p.plan;
+  }
+  std::printf("associativity: %u chains of three or more leaves\n", chains);
+  EXPECT_GT(chains, 100u);
+}
+
+/// A product tree over leaves[lo, hi), split at random points.
+EmbeddingPtr random_tree(const std::vector<EmbeddingPtr>& leaves,
+                         std::size_t lo, std::size_t hi,
+                         std::mt19937_64& rng) {
+  if (hi - lo == 1) return leaves[lo];
+  const std::size_t mid = lo + 1 + rng() % (hi - lo - 1);
+  return std::make_shared<MeshProductEmbedding>(
+      random_tree(leaves, lo, mid, rng), random_tree(leaves, mid, hi, rng));
+}
+
+TEST(ReferenceVerify, ComposedCertificatesOfRandomChains) {
+  // Trees the planner does not build: rank-3 Gray meshes and relabelled
+  // tables as leaves, any nesting, and submesh boxes of any size, Gray
+  // bases included. Each is composed and equals verify() and the
+  // reference.
+  const std::vector<Shape> tables = {Shape{3, 5, 1}, Shape{1, 3, 5},
+                                     Shape{5, 1, 3}, Shape{3, 3, 3},
+                                     Shape{3, 7, 3}, Shape{1, 7, 9}};
+  std::mt19937_64 rng(0xC4A1);
+  u32 checked = 0;
+  while (checked < 300) {
+    std::vector<EmbeddingPtr> leaves;
+    const std::size_t m = 1 + rng() % 4;
+    u64 nodes = 1;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (rng() % 2) {
+        leaves.push_back(*direct_embedding(tables[rng() % tables.size()]));
+      } else {
+        SmallVec<u64, 4> ext;
+        for (u32 a = 0; a < 3; ++a) ext.push_back(1 + rng() % 4);
+        leaves.push_back(std::make_shared<GrayEmbedding>(Mesh(Shape{ext})));
+      }
+      nodes *= leaves.back()->guest().num_nodes();
+    }
+    if (nodes > 20000) continue;
+    EmbeddingPtr top = random_tree(leaves, 0, m, rng);
+    if (rng() % 2) {
+      SmallVec<u64, 4> box = top->guest().shape().extents();
+      for (u64& e : box) e = 1 + rng() % e;
+      top = std::make_shared<SubmeshEmbedding>(top, Shape{box});
+    }
+    if (m == 1 && !dynamic_cast<const GrayEmbedding*>(leaves[0].get()) &&
+        !dynamic_cast<const SubmeshEmbedding*>(top.get()))
+      continue;  // a table alone is verify()'s
+    const std::string what = "random chain " + std::to_string(checked) +
+                             " " + top->guest().shape().to_string();
+    bool composed = false;
+    const VerifyReport r = certify(*top, &composed);
+    EXPECT_TRUE(composed || (m == 1 && !dynamic_cast<const GrayEmbedding*>(
+                                           leaves[0].get())))
+        << what;
+    expect_same_report(r, verify(*top), what);
+    compare(r, reference_verify(*top, nullptr), what);
+    ++checked;
+  }
+  // A many-to-one leaf is verify()'s too, composed nowhere.
+  const EmbeddingPtr gray = std::make_shared<GrayEmbedding>(Mesh(Shape{2, 2}));
+  const EmbeddingPtr contracted = std::make_shared<m2o::ContractionEmbedding>(
+      *direct_embedding(Shape{7, 9}), Shape{1, 3});
+  const EmbeddingPtr product = product_chain({gray, contracted});
+  bool composed = true;
+  const VerifyReport r = certify(*product, &composed);
+  EXPECT_FALSE(composed);
+  expect_same_report(r, verify(*product), "product over a contraction");
+  EXPECT_EQ(r.load_factor, 3u);
+}
+
+// --- Node-map mutants ------------------------------------------------------
+
+enum class NodeFault {
+  SwapImages,
+  DuplicateImage,
+  ImageOnFailedNode,
+  PathThroughFaultedLink,
+  HopOffHost,
+  WrongRelabelAxis,
+};
+
+/// A certified table leaf with its node map replaced and at most one edge
+/// path overridden; every other path is the base's, so a changed image
+/// leaves the paths around it pointing at the old one.
+class NodeMapMutant final : public Embedding {
+ public:
+  NodeMapMutant(EmbeddingPtr base, std::vector<CubeNode> map, MeshEdge e = {},
+                CubePath path = {})
+      : Embedding(base->guest(), base->host_dim()),
+        base_(std::move(base)),
+        map_(std::move(map)),
+        e_(e),
+        path_(std::move(path)) {}
+
+  CubeNode map(MeshIndex i) const override { return map_[i]; }
+  void map_all(std::vector<CubeNode>& out) const override { out = map_; }
+  CubePath edge_path(const MeshEdge& e) const override {
+    return overridden(e) ? path_ : base_->edge_path(e);
+  }
+  void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const override {
+    base_->walk_edge_paths(
+        box, [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
+          fn(e, c, overridden(e) ? path_ : p);
+        });
+  }
+
+ private:
+  bool overridden(const MeshEdge& e) const {
+    return !path_.empty() && e.a == e_.a && e.axis == e_.axis;
+  }
+
+  EmbeddingPtr base_;
+  std::vector<CubeNode> map_;
+  MeshEdge e_;
+  CubePath path_;
+};
+
+/// `table` corrupted by `f`; null when `f` does not apply (a wrong relabel
+/// axis needs two axes of equal length).
+EmbeddingPtr node_map_mutant(const EmbeddingPtr& table, NodeFault f,
+                             std::mt19937_64& rng) {
+  const Shape& s = table->guest().shape();
+  const u64 n = s.num_nodes();
+  std::vector<CubeNode> map;
+  table->map_all(map);
+  const MeshIndex u = rng() % n;
+  MeshIndex w = rng() % n;
+  while (w == u) w = rng() % n;
+  const std::vector<MeshEdge> edges = table->guest().edges();
+  const MeshEdge e = edges[rng() % edges.size()];
+  CubePath p = table->edge_path(e);
+  switch (f) {
+    case NodeFault::SwapImages:
+      std::swap(map[u], map[w]);
+      break;
+    case NodeFault::DuplicateImage:
+      map[u] = map[w];
+      break;
+    case NodeFault::ImageOnFailedNode: {
+      // The first cube node no guest node uses.
+      CubeNode spare = 0;
+      while (std::find(map.begin(), map.end(), spare) != map.end()) ++spare;
+      map[u] = spare;
+      break;
+    }
+    case NodeFault::PathThroughFaultedLink: {
+      // p0 -> p0^x -> p1^x -> p1 -> ...: a valid detour two hops longer.
+      const u64 along = p[0] ^ p[1];
+      u64 x = 1;
+      while (x & along) x <<= 1;
+      CubePath q;
+      q.push_back(p[0]);
+      q.push_back(p[0] ^ x);
+      q.push_back(p[1] ^ x);
+      for (std::size_t t = 1; t < p.size(); ++t) q.push_back(p[t]);
+      return std::make_shared<NodeMapMutant>(table, map, e, q);
+    }
+    case NodeFault::HopOffHost: {
+      const CubeNode out = p.back() ^ (CubeNode{1} << table->host_dim());
+      p.push_back(out);
+      p.push_back(out ^ (CubeNode{1} << table->host_dim()));
+      return std::make_shared<NodeMapMutant>(table, map, e, p);
+    }
+    case NodeFault::WrongRelabelAxis: {
+      // The paths of the honest table, the node map of a relabel of its
+      // base table that takes the last free axis of each length where the
+      // honest relabel takes the first.
+      const EmbeddingPtr base = *direct_embedding(s.squeezed().sorted());
+      const Shape& sb = base->guest().shape();
+      SmallVec<u32, 4> axis_of_base;
+      SmallVec<u8, 4> taken(s.dims(), 0);
+      for (u32 b = 0; b < sb.dims(); ++b) {  // the last free axis of its length
+        u32 t = s.dims();
+        while (t-- > 0 && (taken[t] || s[t] != sb[b])) {
+        }
+        taken[t] = 1;
+        axis_of_base.push_back(t);
+      }
+      const RelabelEmbedding wrong(base, s, axis_of_base);
+      wrong.map_all(map);
+      std::vector<CubeNode> honest;
+      table->map_all(honest);
+      if (map == honest) return nullptr;
+      break;
+    }
+  }
+  return std::make_shared<NodeMapMutant>(table, std::move(map));
+}
+
+/// The faults that expose `f` in `top`: the first image or path of `top`
+/// that differs from `honest` put on failed hardware.
+FaultSet exposing_faults(const Embedding& honest, const Embedding& top,
+                         NodeFault f) {
+  FaultSet faults;
+  if (f == NodeFault::ImageOnFailedNode) {
+    std::vector<CubeNode> a, b;
+    honest.map_all(a);
+    top.map_all(b);
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (a[i] != b[i]) {
+        faults.fail_node(b[i]);
+        break;
+      }
+  } else if (f == NodeFault::PathThroughFaultedLink) {
+    bool done = false;
+    top.guest().for_each_edge([&](const MeshEdge& e) {
+      const CubePath q = top.edge_path(e);
+      if (done || q == honest.edge_path(e)) return;
+      faults.fail_link(q[1], q[2]);  // the detour's middle hop
+      done = true;
+    });
+  }
+  return faults;
+}
+
+TEST(ReferenceVerify, NodeMapMutantsAreKilled) {
+  // Table leaves with a corrupted node map or path, alone, as the outer
+  // leaf of a product with a Gray mesh (where the planner puts its
+  // tables) and in a submesh of that product. verify() and the reference
+  // must flag each (invalid, or not fault-free against the faults that
+  // expose it) and agree field by field; certify() must give verify()'s
+  // report, composed only where the corrupted leaf is still valid.
+  struct Case {
+    Shape table, gray, sub;
+  };
+  const std::vector<Case> cases = {
+      {Shape{3, 5}, Shape{2, 2}, Shape{5, 10}},
+      {Shape{3, 7, 3}, Shape{2, 1, 2}, Shape{5, 7, 6}},
+      {Shape{11, 11}, Shape{2, 2}, Shape{21, 22}},
+  };
+  std::mt19937_64 rng(0xA0DE);
+  u32 mutants = 0, killed = 0, structural = 0, certify_killed = 0;
+  for (const Case& c : cases) {
+    const std::optional<EmbeddingPtr> table = direct_embedding(c.table);
+    ASSERT_TRUE(table.has_value()) << c.table.to_string();
+    const EmbeddingPtr gray = std::make_shared<GrayEmbedding>(Mesh(c.gray));
+    for (NodeFault f :
+         {NodeFault::SwapImages, NodeFault::DuplicateImage,
+          NodeFault::ImageOnFailedNode, NodeFault::PathThroughFaultedLink,
+          NodeFault::HopOffHost, NodeFault::WrongRelabelAxis}) {
+      const EmbeddingPtr leaf = node_map_mutant(*table, f, rng);
+      if (!leaf) continue;
+      const EmbeddingPtr honest_product = product_chain({gray, *table});
+      const EmbeddingPtr product = product_chain({gray, leaf});
+      const std::vector<std::pair<EmbeddingPtr, EmbeddingPtr>> placements = {
+          {*table, leaf},
+          {honest_product, product},
+          {std::make_shared<SubmeshEmbedding>(honest_product, c.sub),
+           std::make_shared<SubmeshEmbedding>(product, c.sub)}};
+      for (const auto& [honest, top] : placements) {
+        const std::string what = top->guest().shape().to_string() +
+                                 " node fault " +
+                                 std::to_string(static_cast<int>(f));
+        const FaultSet faults = exposing_faults(*honest, *top, f);
+        const VerifyReport v = verify(*top, faults);
+        const RefReport r = reference_verify(*top, &faults);
+        ++mutants;
+        const bool v_kill = !v.valid || !v.fault_free;
+        const bool r_kill = !r.valid || !r.fault_free;
+        killed += v_kill && r_kill;
+        EXPECT_TRUE(v_kill) << what;
+        EXPECT_TRUE(r_kill) << what;
+        compare(v, r, what);
+        // certify() takes no fault set: it must be verify() without one.
+        const VerifyReport plain = verify(*top);
+        const VerifyReport cert = certify(*top);
+        expect_same_report(cert, plain, "certify() of " + what);
+        if (f != NodeFault::PathThroughFaultedLink) {
+          ++structural;
+          certify_killed += !cert.valid;
+          EXPECT_FALSE(cert.valid) << what;
+        }
+      }
+    }
+  }
+  std::printf("node-map mutants: %u/%u killed by verify() and the reference; "
+              "certify() agrees with verify() on all and rejects %u/%u "
+              "structural ones\n",
+              killed, mutants, certify_killed, structural);
+  EXPECT_EQ(killed, mutants);
+  EXPECT_EQ(certify_killed, structural);
+  EXPECT_EQ(mutants, 51u);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #!/bin/sh
 # Print the planner's certificate (`hj_embed plan`) for a fixed set of
 # shapes: Gray, direct, search, product, sub-of-product and relabelled
-# plans, the deep product chains, rank-1 to rank-3 meshes and one
-# non-default objective. Every line is deterministic, so the output is a
+# plans, the deep product chains, rank-1 to rank-4 meshes, products over
+# relabelled table cores and one non-default objective. Every line is deterministic, so the output is a
 # golden of the plan strings and of every verify() report field printed.
 #
 #   tools/plan_certificates.sh build/examples/hj_embed \
@@ -43,5 +43,14 @@ done <<'SHAPES'
 13 25 41
 15 9 7
 20 12
+11 18 30
+8 18 24
+20 23 24
+6 10 14
+3 14 24
+21 35
+1 21 35
+3 5 7 9
+6 10 12 2
 6 10 12 --objective=wirelength
 SHAPES
