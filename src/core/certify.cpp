@@ -92,14 +92,14 @@ bool read_leaf(const Embedding& emb, Leaf& leaf) {
   leaf.gray = dynamic_cast<const GrayEmbedding*>(&emb) != nullptr;
   if (leaf.gray) return true;
   if (!verify(emb).valid) return false;
-  const Shape& s = emb.guest().shape();
   std::vector<u64> keys;
-  emb.for_each_edge_path([&](const MeshEdge& e, const CubePath& p) {
-    leaf.edges.push_back({s.coord(e.a), e.axis, static_cast<u32>(keys.size()),
-                          static_cast<u32>(p.size() - 1)});
-    for (std::size_t t = 0; t + 1 < p.size(); ++t)
-      keys.push_back(Hypercube::edge_key(p[t], p[t + 1]));
-  });
+  emb.walk_edge_paths(
+      [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
+        leaf.edges.push_back({c, e.axis, static_cast<u32>(keys.size()),
+                              static_cast<u32>(p.size() - 1)});
+        for (std::size_t t = 0; t + 1 < p.size(); ++t)
+          keys.push_back(Hypercube::edge_key(p[t], p[t + 1]));
+      });
   std::vector<u64> ids(keys);
   std::sort(ids.begin(), ids.end());
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());

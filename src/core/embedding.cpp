@@ -10,15 +10,8 @@ void Embedding::map_all(std::vector<CubeNode>& out) const {
   for (MeshIndex i = 0; i < n; ++i) out[i] = map(i);
 }
 
-void Embedding::for_each_edge_path(EdgePathFn fn) const {
-  walk_edge_paths(guest_.shape().extents(),
-                  [&](const MeshEdge& e, const Coord&, const CubePath& p) {
-                    fn(e, p);
-                  });
-}
-
-void Embedding::walk_edge_paths(const Coord& box, EdgeWalkFn fn) const {
-  guest_.for_each_edge_in(box, [&](const MeshEdge& e, const Coord& c) {
+void Embedding::walk_edge_paths(EdgeWalkFn fn) const {
+  guest_.for_each_edge([&](const MeshEdge& e, const Coord& c) {
     fn(e, c, edge_path(e));
   });
 }
@@ -37,12 +30,12 @@ void GrayEmbedding::map_all(std::vector<CubeNode>& out) const {
   }
 }
 
-void GrayEmbedding::walk_edge_paths(const Coord& box, EdgeWalkFn fn) const {
+void GrayEmbedding::walk_edge_paths(EdgeWalkFn fn) const {
   // Every Gray edge is one hop: the image of c and that image with the
   // edge's axis field stepped to the next Gray code (or wrapped to 0).
   CubePath p;
   p.resize(2);
-  guest().for_each_edge_in(box, [&](const MeshEdge& e, const Coord& c) {
+  guest().for_each_edge([&](const MeshEdge& e, const Coord& c) {
     const u64 x = c[e.axis];
     p[0] = image(c);
     p[1] = p[0] ^ ((gray(x) ^ gray(e.wrap ? 0 : x + 1)) << shift_[e.axis]);
@@ -57,10 +50,11 @@ std::shared_ptr<ExplicitEmbedding> ExplicitEmbedding::copy_of(
   auto out = std::make_shared<ExplicitEmbedding>(emb.guest(), emb.host_dim(),
                                                  std::move(map));
   const std::vector<CubeNode>& nm = out->map_;
-  emb.for_each_edge_path([&](const MeshEdge& e, const CubePath& p) {
-    if (p != Hypercube::ecube_path(nm[e.a], nm[e.b]))
-      out->paths_.emplace_back(out->path_key(e), p);
-  });
+  emb.walk_edge_paths(
+      [&](const MeshEdge& e, const Coord&, const CubePath& p) {
+        if (p != Hypercube::ecube_path(nm[e.a], nm[e.b]))
+          out->paths_.emplace_back(out->path_key(e), p);
+      });
   std::sort(out->paths_.begin(), out->paths_.end(),
             [](const auto& x, const auto& y) { return x.first < y.first; });
   return out;
@@ -92,8 +86,7 @@ void ExplicitEmbedding::set_edge_path(const MeshEdge& e, CubePath path) {
     paths_.insert(it, {key, std::move(path)});
 }
 
-void ExplicitEmbedding::walk_edge_paths(const Coord& box,
-                                        EdgeWalkFn fn) const {
+void ExplicitEmbedding::walk_edge_paths(EdgeWalkFn fn) const {
   // Node-major, axes ascending: exactly the order of path_key, so one
   // forward merge over the sorted overrides replaces a lower_bound per
   // edge.
@@ -103,7 +96,7 @@ void ExplicitEmbedding::walk_edge_paths(const Coord& box,
   SmallVec<u64, 4> stride(k, 0);
   for (u32 i = 0; i < k; ++i) stride[i] = s.stride(i);
   BoxOdometer odo(stride);
-  odo.hi = box;
+  odo.hi = s.extents();
   if (!odo.start()) return;
   auto ov = paths_.begin();
   do {
@@ -111,9 +104,9 @@ void ExplicitEmbedding::walk_edge_paths(const Coord& box,
     for (u32 axis = 0; axis < k; ++axis) {
       const u64 l = s[axis];
       MeshEdge e{a, 0, axis, false};
-      if (odo.c[axis] + 1 < box[axis]) {
+      if (odo.c[axis] + 1 < l) {
         e.b = a + stride[axis];
-      } else if (g.wraps(axis) && l > 2 && odo.c[axis] == l - 1) {
+      } else if (g.wraps(axis) && l > 2) {
         e.b = a - (l - 1) * stride[axis];
         e.wrap = true;
       } else {

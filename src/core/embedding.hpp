@@ -7,8 +7,8 @@
 // exactly mirroring the constructive proofs of Theorem 3 and Corollary 2.
 //
 // Two bulk traversals sit beside the random-access pair: map_all (every
-// node image) and for_each_edge_path (every edge path, in an order of the
-// embedding's choosing, through the overridable walk_edge_paths).
+// node image) and walk_edge_paths (every edge path, in an order of the
+// embedding's choosing).
 // Composites override them to stream their factors once instead of
 // recursing per node or per edge; map/edge_path stay the reference
 // definitions the bulk forms must agree with.
@@ -94,28 +94,21 @@ class Embedding {
   /// and factor-map recursion — the batch verifier's hot path.
   virtual void map_all(std::vector<CubeNode>& out) const;
 
-  /// Receives one guest edge and its assigned path.
-  using EdgePathFn = FnRef<void(const MeshEdge&, const CubePath&)>;
   /// Receives one guest edge, the coordinate of its `a` end and its path.
   using EdgeWalkFn =
       FnRef<void(const MeshEdge&, const Coord&, const CubePath&)>;
 
-  /// Visit every guest edge exactly once with its path. Each edge is
-  /// oriented as Mesh::for_each_edge orients it and its path equals
-  /// edge_path(e); the visiting order is deterministic but the
+  /// Visit every guest edge exactly once with the coordinate of its `a`
+  /// end, which composites read instead of dividing e.a, and its path.
+  /// Each edge is oriented as Mesh::for_each_edge orients it and its path
+  /// equals edge_path(e); the visiting order is deterministic but the
   /// embedding's own, not for_each_edge order, so callers must aggregate
-  /// commutatively (or key by slot axis * num_nodes + a).
-  void for_each_edge_path(EdgePathFn fn) const;
-
-  /// The walk behind for_each_edge_path, restricted to the guest edges
-  /// with both ends inside the box [0, box) (box[i] <= guest extent i):
-  /// the same edges in the same relative order, each with the
-  /// coordinate of its `a` end, which composites read instead of
-  /// dividing e.a. The default visits Mesh::for_each_edge order and
-  /// calls edge_path; products fan each factor path out to every copy in
-  /// the box (Corollary 2), relabels and submeshes re-index their base's
-  /// walk, and a submesh hands its box down instead of filtering.
-  virtual void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const;
+  /// commutatively (or key by slot axis * num_nodes + a). The default
+  /// visits Mesh::for_each_edge order and calls edge_path; products fan
+  /// each factor path out to every copy (Corollary 2), relabels re-index
+  /// their base's walk, and a submesh keeps the edges of its base's walk
+  /// whose high end lies inside its extents.
+  virtual void walk_edge_paths(EdgeWalkFn fn) const;
 
   /// True asserts that *every* guest edge's assigned path is exactly the
   /// at-most-one-hop sequence [map(e.a), map(e.b)] — i.e. dilation <= 1
@@ -179,7 +172,7 @@ class GrayEmbedding final : public Embedding {
   }
 
   void map_all(std::vector<CubeNode>& out) const override;
-  void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const override;
+  void walk_edge_paths(EdgeWalkFn fn) const override;
 
   [[nodiscard]] bool unit_paths() const noexcept override { return true; }
 
@@ -224,8 +217,8 @@ class ExplicitEmbedding final : public Embedding {
   }
 
   /// A freely mutable copy of any embedding: its node map plus every
-  /// edge path that is not the default e-cube route, read in one bulk
-  /// for_each_edge_path walk and sorted once. Paths are copied as they
+  /// edge path that is not the default e-cube route, read in one
+  /// walk_edge_paths walk and sorted once. Paths are copied as they
   /// are; verify() judges them.
   static std::shared_ptr<ExplicitEmbedding> copy_of(const Embedding& emb);
 
@@ -238,7 +231,7 @@ class ExplicitEmbedding final : public Embedding {
   void map_all(std::vector<CubeNode>& out) const override {
     out.assign(map_.begin(), map_.end());
   }
-  void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const override;
+  void walk_edge_paths(EdgeWalkFn fn) const override;
 
   /// Prescribe the path for one edge. `path` must run from map(e.a) to
   /// map(e.b) along cube edges; the verifier re-checks this.

@@ -2,6 +2,7 @@
 // with wraparound (torus) axes.
 #pragma once
 
+#include <type_traits>
 #include <vector>
 
 #include "core/shape.hpp"
@@ -73,35 +74,32 @@ class Mesh {
 
   /// Visit every undirected edge exactly once. `fn` receives a MeshEdge
   /// whose `a` has the smaller axis coordinate (for wrap edges, `a` is the
-  /// coordinate l-1 end and `b` the coordinate 0 end).
-  template <class Fn>
-  void for_each_edge(Fn&& fn) const {
-    for_each_edge_in(shape_.extents(),
-                     [&](const MeshEdge& e, const Coord&) { fn(e); });
-  }
-
-  /// for_each_edge restricted to the edges with both ends inside the box
-  /// [0, box) (box[i] <= shape()[i]), in the same order; `fn(e, c)` also
+  /// coordinate l-1 end and `b` the coordinate 0 end); a `fn(e, c)` also
   /// receives the coordinate `c` of e.a. Coordinates and indices advance
   /// by odometer: no division per edge.
   template <class Fn>
-  void for_each_edge_in(const Coord& box, Fn&& fn) const {
+  void for_each_edge(Fn&& fn) const {
+    const auto emit = [&](const MeshEdge& e, const Coord& c) {
+      if constexpr (std::is_invocable_v<Fn&, const MeshEdge&, const Coord&>)
+        fn(e, c);
+      else
+        fn(e);
+    };
     SmallVec<u64, 4> stride(dims(), 0);
     for (u32 i = 0; i < dims(); ++i) stride[i] = shape_.stride(i);
     BoxOdometer odo(stride);
-    odo.hi = box;
+    odo.hi = shape_.extents();
     for (u32 axis = 0; axis < dims(); ++axis) {
       const u64 l = shape_[axis];
-      if (l <= 1 || box[axis] <= 1 || !odo.start()) continue;
-      // A wrap edge joins coordinate l-1 to 0, so only a full axis has it.
-      const bool wrap = wraps(axis) && l > 2 && box[axis] == l;
+      if (l <= 1 || !odo.start()) continue;
+      const bool wrap = wraps(axis) && l > 2;
       const u64 st = stride[axis];
       do {
         const MeshIndex idx = odo.index;
-        if (odo.c[axis] + 1 < box[axis])
-          fn(MeshEdge{idx, idx + st, axis, false}, odo.c);
+        if (odo.c[axis] + 1 < l)
+          emit(MeshEdge{idx, idx + st, axis, false}, odo.c);
         else if (wrap)
-          fn(MeshEdge{idx, idx - (l - 1) * st, axis, true}, odo.c);
+          emit(MeshEdge{idx, idx - (l - 1) * st, axis, true}, odo.c);
       } while (odo.next() < dims());
     }
   }

@@ -1,7 +1,5 @@
 #include "core/product.hpp"
 
-#include <algorithm>
-
 namespace hj {
 namespace {
 
@@ -159,8 +157,7 @@ CubePath MeshProductEmbedding::edge_path(const MeshEdge& e) const {
   return path;
 }
 
-void MeshProductEmbedding::walk_edge_paths(const Coord& box,
-                                           EdgeWalkFn fn) const {
+void MeshProductEmbedding::walk_edge_paths(EdgeWalkFn fn) const {
   // Corollary 2 read as a traversal: every copy of the inner mesh reuses
   // the inner edge paths, and every outer edge path joins two consecutive
   // copies along the face where their (reflected) inner images coincide.
@@ -177,18 +174,10 @@ void MeshProductEmbedding::walk_edge_paths(const Coord& box,
   inner_->map_all(im);
   outer_->map_all(om);
   SmallVec<u64, 4> st(k, 0), st1(k, 0), st2(k, 0);
-  // The box holds full[i] whole copies along axis i plus the first
-  // part[i] coordinates of one more. The inner walk needs no more than
-  // the inner box, the outer walk no more than the copies the box meets.
-  Coord full(k, 0), part(k, 0), ibox(k, 0), obox(k, 0);
   for (u32 i = 0; i < k; ++i) {
     st[i] = s.stride(i);
     st1[i] = s1.stride(i);
     st2[i] = s2.stride(i);
-    full[i] = box[i] / s1[i];
-    part[i] = box[i] % s1[i];
-    ibox[i] = std::min(box[i], s1[i]);
-    obox[i] = full[i] + (part[i] > 0);
   }
   Coord z(k, 0);
   u64 low = 0;  // sum z_i * st_i, kept in step with z
@@ -201,23 +190,21 @@ void MeshProductEmbedding::walk_edge_paths(const Coord& box,
   // M1-type edges. In reflected coordinates an inner edge runs x -> x+e_j;
   // in a copy with odd y_j that is high-to-low in the product, so the low
   // end is x+e_j and the path runs reversed. pos[2i + parity] is the low
-  // end's place inside a copy. A copy lies in the box while the edge's
-  // high end does, so along each axis the copies in the box are a prefix
-  // [0, copies.hi[i]): every whole copy, and the partial one if the edge
-  // fits in it. z and low follow the odometer axis by axis.
+  // end's place inside a copy. z and low follow the copy odometer axis by
+  // axis.
   BoxOdometer copies(st2);
+  copies.hi = s2.extents();
+  copies.start();
   SmallVec<u64, 8> pos(2 * k, 0);
   inner_->walk_edge_paths(
-      ibox, [&](const MeshEdge& e, const Coord& x, const CubePath& p) {
+      [&](const MeshEdge& e, const Coord& x, const CubePath& p) {
         const u32 j = e.axis;
         for (u32 i = 0; i < k; ++i) {
           pos[2 * i] = x[i];
           pos[2 * i + 1] = s1[i] - 1 - x[i] - (i == j);
-          const u64 high = pos[2 * i + (full[i] & 1)] + (i == j);
-          copies.hi[i] = full[i] + (high < part[i]);
+          set_z(i, pos[2 * i]);
         }
-        if (!copies.start()) return;
-        for (u32 i = 0; i < k; ++i) set_z(i, pos[2 * i]);
+        copies.restart();
         const std::size_t m = p.size();
         q.resize(m);
         for (u32 a = 0; a < k;) {
@@ -238,9 +225,7 @@ void MeshProductEmbedding::walk_edge_paths(const Coord& box,
   // M2-type edges. Copies y and y+e_j meet on the inner face x_j =
   // l1_j-1 (y_j even) or x_j = 0 (y_j odd), at product coordinate
   // y_j * l1_j + l1_j - 1; each outer path is carried once per inner
-  // node of that face inside the box: faces[2j + parity of y_j] when
-  // copy y lies wholly in the box, the face clipped by the box (`cut`)
-  // when it does not.
+  // node of that face, faces[2j + parity of y_j].
   std::vector<BoxOdometer> faces(2 * k, BoxOdometer(st1));
   for (u32 f = 0; f < 2 * k; ++f) {
     const u32 j = f / 2;
@@ -249,26 +234,11 @@ void MeshProductEmbedding::walk_edge_paths(const Coord& box,
     faces[f].hi[j] = faces[f].lo[j] + 1;
     faces[f].start();
   }
-  BoxOdometer cut(st1);
   outer_->walk_edge_paths(
-      obox, [&](const MeshEdge& e, const Coord& y, const CubePath& p) {
+      [&](const MeshEdge& e, const Coord& y, const CubePath& p) {
         const u32 j = e.axis;
-        bool whole = true;
-        for (u32 i = 0; i < k; ++i) whole &= y[i] < full[i];
-        BoxOdometer& face = whole ? faces[2 * j + (y[j] & 1)] : cut;
-        if (whole) {
-          face.restart();
-        } else {
-          for (u32 i = 0; i < k; ++i) {
-            const u64 room = box[i] - y[i] * s1[i];  // > 0 inside obox
-            const u64 fit = std::min(room, s1[i]);
-            cut.lo[i] = (y[i] & 1) ? s1[i] - fit : 0;
-            cut.hi[i] = (y[i] & 1) ? s1[i] : fit;
-          }
-          cut.lo[j] = faces[2 * j + (y[j] & 1)].lo[j];
-          cut.hi[j] = cut.lo[j] + 1;
-          if (!cut.start()) return;
-        }
+        BoxOdometer& face = faces[2 * j + (y[j] & 1)];
+        face.restart();
         const auto place = [&](u32 i) {
           const u64 x = face.c[i];
           return y[i] * s1[i] + ((y[i] & 1) ? s1[i] - 1 - x : x);
@@ -360,19 +330,14 @@ CubePath RelabelEmbedding::edge_path(const MeshEdge& e) const {
       MeshEdge{to_base(e.a), to_base(e.b), static_cast<u32>(baxis), e.wrap});
 }
 
-void RelabelEmbedding::walk_edge_paths(const Coord& box, EdgeWalkFn fn) const {
+void RelabelEmbedding::walk_edge_paths(EdgeWalkFn fn) const {
   const Shape& s = guest().shape();
-  const Shape& sb = base_->guest().shape();
-  const u32 kb = sb.dims();
+  const u32 kb = base_->guest().dims();
   SmallVec<u64, 4> tstride(kb, 0);  // base axis -> stride of its target axis
-  Coord bbox(kb, 0);
-  for (u32 i = 0; i < kb; ++i) {
-    tstride[i] = s.stride(axis_of_base_[i]);
-    bbox[i] = box[axis_of_base_[i]];
-  }
+  for (u32 i = 0; i < kb; ++i) tstride[i] = s.stride(axis_of_base_[i]);
   Coord c(s.dims(), 0);  // inserted length-1 axes stay at 0
   base_->walk_edge_paths(
-      bbox, [&](const MeshEdge& e, const Coord& cb, const CubePath& p) {
+      [&](const MeshEdge& e, const Coord& cb, const CubePath& p) {
         u64 a = 0;
         for (u32 i = 0; i < kb; ++i) {
           c[axis_of_base_[i]] = cb[i];
@@ -415,17 +380,21 @@ CubePath SubmeshEmbedding::edge_path(const MeshEdge& e) const {
   return base_->edge_path(MeshEdge{to_base(e.a), to_base(e.b), e.axis, false});
 }
 
-void SubmeshEmbedding::walk_edge_paths(const Coord& box, EdgeWalkFn fn) const {
-  // The base walks only the box, which already lies inside this guest, so
-  // every edge it reports is ours: re-index it, drop nothing.
+void SubmeshEmbedding::walk_edge_paths(EdgeWalkFn fn) const {
+  // The base walks its whole guest; an edge is ours when its high end
+  // lies inside this guest's extents, and is then re-indexed. The base
+  // coordinate of its `a` end is its coordinate here too.
   const Shape& s = guest().shape();
   const u32 k = s.dims();
   SmallVec<u64, 4> stride(k, 0);
   for (u32 i = 0; i < k; ++i) stride[i] = s.stride(i);
   base_->walk_edge_paths(
-      box, [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
+      [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
         u64 a = 0;
-        for (u32 i = 0; i < k; ++i) a += c[i] * stride[i];
+        for (u32 i = 0; i < k; ++i) {
+          if (c[i] + (i == e.axis) >= s[i]) return;
+          a += c[i] * stride[i];
+        }
         fn(MeshEdge{a, a + stride[e.axis], e.axis, false}, c, p);
       });
 }

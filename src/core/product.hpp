@@ -33,7 +33,7 @@ class MeshProductEmbedding final : public Embedding {
     return inner_->one_to_one() && outer_->one_to_one();
   }
   void map_all(std::vector<CubeNode>& out) const override;
-  void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const override;
+  void walk_edge_paths(EdgeWalkFn fn) const override;
   [[nodiscard]] bool unit_paths() const noexcept override {
     // Products preserve unit paths: an M1-type edge rides a (possibly
     // reflected) one-hop inner path, an M2-type edge a one-hop outer path.
@@ -83,7 +83,7 @@ class RelabelEmbedding final : public Embedding {
     return base_->one_to_one();
   }
   void map_all(std::vector<CubeNode>& out) const override;
-  void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const override;
+  void walk_edge_paths(EdgeWalkFn fn) const override;
   [[nodiscard]] bool unit_paths() const noexcept override {
     return base_->unit_paths();
   }
@@ -109,7 +109,7 @@ class SubmeshEmbedding final : public Embedding {
     return base_->one_to_one();
   }
   void map_all(std::vector<CubeNode>& out) const override;
-  void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const override;
+  void walk_edge_paths(EdgeWalkFn fn) const override;
   [[nodiscard]] bool unit_paths() const noexcept override {
     return base_->unit_paths();
   }

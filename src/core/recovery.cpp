@@ -78,17 +78,9 @@ const char* rung_name(Rung r) noexcept {
 
 RecoveryController::RecoveryController(Shape shape, RecoveryOptions opts)
     : shape_(std::move(shape)), opts_(std::move(opts)) {
-  require(opts_.detour_budget >= 1,
-          "RecoveryController: detour_budget must be >= 1 (a zero budget "
-          "cannot route around anything)");
-  require(opts_.budget_per_epoch == 0 ||
-              opts_.budget_cap >= opts_.budget_per_epoch,
-          "RecoveryController: budget_cap (%u) must cover at least one "
-          "epoch's replenishment (budget_per_epoch %u)",
-          opts_.budget_cap, opts_.budget_per_epoch);
   // Standalone (non-epoch-driven) callers start with a full bank; the
   // live driver replenishes per epoch via start_epoch().
-  budget_ = opts_.budget_cap;
+  budget_ = kBudgetCap;
   if (opts_.direct_provider)
     planner_.set_direct_provider(opts_.direct_provider);
   if (opts_.degrade_provider)
@@ -96,14 +88,11 @@ RecoveryController::RecoveryController(Shape shape, RecoveryOptions opts)
 }
 
 void RecoveryController::start_epoch() {
-  if (opts_.budget_per_epoch == 0) return;
-  budget_ = std::min(opts_.budget_cap, budget_ + opts_.budget_per_epoch);
+  budget_ = std::min(kBudgetCap, budget_ + kBudgetPerEpoch);
 }
 
 bool RecoveryController::rung_enabled(u32 idx) {
-  if (opts_.rung_retry_cap == 0 ||
-      rung_failures_[idx] < opts_.rung_retry_cap)
-    return true;
+  if (rung_failures_[idx] < kRungRetryCap) return true;
   // Over the cap: probe every 4th skipped call so a network healed by
   // quarantine eviction can re-enable the cheap rung.
   if (++rung_skips_[idx] % 4 == 0) return true;
@@ -125,7 +114,7 @@ RepairResult RecoveryController::try_reroute(const Embedding& current,
   const RungObs rung_obs("reroute", out);
   // Start from the current paths: only the faulted ones are detoured.
   auto routed = route_and_certify(ExplicitEmbedding::copy_of(current), faults,
-                                  opts_.detour_budget, dilation_budget);
+                                  kDetourBudget, dilation_budget);
   if (!routed) return out;
   out.ok = true;
   out.embedding = std::move(routed->embedding);
@@ -196,7 +185,7 @@ RepairResult RecoveryController::try_migrate(const Embedding& current,
                                                    std::move(node_map));
   route_minimize_congestion(*moved);
   auto routed = route_and_certify(std::move(moved), faults,
-                                  opts_.detour_budget, dilation_budget);
+                                  kDetourBudget, dilation_budget);
   if (!routed) return out;
   out.ok = true;
   out.embedding = std::move(routed->embedding);
@@ -246,25 +235,23 @@ RepairResult RecoveryController::repair(const Embedding& current,
   // Backoff budget: the attempt's charge doubles with every consecutive
   // failure, so hopeless repair sequences price themselves out instead
   // of thrashing to the caller's epoch cap.
-  if (opts_.budget_per_epoch > 0) {
-    const u32 charge = u32{1} << std::min(consecutive_failures_, 5u);
-    if (charge > budget_) {
-      RepairResult out;
-      char buf[96];
-      std::snprintf(buf, sizeof buf,
-                    "repair budget exhausted (charge %u > remaining %u "
-                    "after %u consecutive failures)",
-                    charge, budget_, consecutive_failures_);
-      out.desc = buf;
-      out.budget_exhausted = true;
-      if (obs::enabled())
-        obs::Registry::global().counter("recovery.budget_exhausted").add();
-      return out;
-    }
-    budget_ -= charge;
+  const u32 charge = u32{1} << std::min(consecutive_failures_, 5u);
+  if (charge > budget_) {
+    RepairResult out;
+    char buf[96];
+    std::snprintf(buf, sizeof buf,
+                  "repair budget exhausted (charge %u > remaining %u "
+                  "after %u consecutive failures)",
+                  charge, budget_, consecutive_failures_);
+    out.desc = buf;
+    out.budget_exhausted = true;
     if (obs::enabled())
-      obs::Registry::global().counter("recovery.budget_charged").add(charge);
+      obs::Registry::global().counter("recovery.budget_exhausted").add();
+    return out;
   }
+  budget_ -= charge;
+  if (obs::enabled())
+    obs::Registry::global().counter("recovery.budget_charged").add(charge);
 
   // Which rung the ladder ultimately handed back (certified outcomes
   // only); distinct from <rung>.certified, which also counts the losing

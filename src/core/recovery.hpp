@@ -32,13 +32,13 @@
 //
 //   * Repair budget with exponential backoff. Each repair() call is
 //     charged 2^min(consecutive_failures, 5) units against a budget that
-//     start_epoch() replenishes by `budget_per_epoch` (capped at
-//     `budget_cap`). Successful repairs cost one unit; a hopeless shape
+//     start_epoch() replenishes by `kBudgetPerEpoch` (capped at
+//     `kBudgetCap`). Successful repairs cost one unit; a hopeless shape
 //     that keeps failing sees its charges double until the budget cannot
 //     cover the next attempt, and repair() then refuses up front
 //     (RepairResult::budget_exhausted) instead of thrashing the ladder
 //     for the rest of the run.
-//   * Rung-level retry caps. A rung that failed `rung_retry_cap` times
+//   * Rung-level retry caps. A rung that failed `kRungRetryCap` times
 //     in a row is skipped (its failure mode — no spare in radius, a host
 //     node dead under a guest — rarely changes between consecutive
 //     storms' epochs), but probed again every 4th skipped call so a
@@ -67,9 +67,19 @@ enum class Rung : u8 { None, Reroute, Migrate, Replan };
 
 [[nodiscard]] const char* rung_name(Rung r) noexcept;
 
+/// Max added hops per detoured edge handed to route_around_faults.
+inline constexpr u32 kDetourBudget = 2;
+/// Repair-pressure budget (see the file comment): units replenished per
+/// start_epoch().
+inline constexpr u32 kBudgetPerEpoch = 4;
+/// Ceiling on accumulated budget units, so a long quiet stretch cannot
+/// bank enough budget to thrash through a later storm.
+inline constexpr u32 kBudgetCap = 32;
+/// Consecutive uncertified attempts of rung (a)/(b) before that rung is
+/// skipped (probed again every 4th skip).
+inline constexpr u32 kRungRetryCap = 3;
+
 struct RecoveryOptions {
-  /// Max added hops per detoured edge handed to route_around_faults.
-  u32 detour_budget = 2;
   /// Rungs (a)/(b) certify only if post-repair dilation stays within
   /// baseline_dilation + this; otherwise the controller escalates.
   u32 max_dilation_increase = 1;
@@ -77,16 +87,6 @@ struct RecoveryOptions {
   u32 max_migration_radius = 3;
   /// Skip rungs (a)/(b) and always replan — the bench baseline.
   bool force_replan = false;
-  /// Repair-pressure budget (see the class comment): units replenished
-  /// per start_epoch(). 0 disables the budget entirely (unit-test and
-  /// one-shot callers); the live-run driver leaves it on.
-  u32 budget_per_epoch = 4;
-  /// Ceiling on accumulated budget units, so a long quiet stretch cannot
-  /// bank enough budget to thrash through a later storm.
-  u32 budget_cap = 32;
-  /// Consecutive uncertified attempts of rung (a)/(b) before that rung
-  /// is skipped (probed again every 4th skip). 0 = never skip.
-  u32 rung_retry_cap = 3;
   /// Providers handed to the internal planner for rung (c).
   DirectProvider direct_provider;
   DegradeProvider degrade_provider;
@@ -138,13 +138,12 @@ class RecoveryController {
                                     u32 baseline_dilation,
                                     u32 factor_inner_dim = 0);
 
-  /// Replenish the backoff budget by budget_per_epoch (up to budget_cap).
+  /// Replenish the backoff budget by kBudgetPerEpoch (up to kBudgetCap).
   /// Epoch-driven callers (the live run) call this once per epoch; a
-  /// controller that is never replenished has budget_cap to spend.
+  /// controller that is never replenished has kBudgetCap to spend.
   void start_epoch();
 
-  /// Units currently available to spend on repair attempts (meaningful
-  /// only when budget_per_epoch > 0).
+  /// Units currently available to spend on repair attempts.
   [[nodiscard]] u32 budget_remaining() const noexcept { return budget_; }
   /// Consecutive repair() failures since the last certified repair (the
   /// exponent of the next attempt's charge).

@@ -65,7 +65,7 @@ VerifyScratch& scratch() {
 }
 
 /// The exact-cover check of an edge walk: verify() trusts an embedding's
-/// for_each_edge_path walk to visit every guest edge once, and this is
+/// walk_edge_paths walk to visit every guest edge once, and this is
 /// where that trust is checked. One bit per slot axis * n + a lives in
 /// the scratch arena. The slots at an axis's last coordinate are no
 /// guest edge's `a` end, so they start set and any claim on one fails
@@ -344,7 +344,6 @@ VerifyReport verify_impl(const Embedding& emb, const FaultSet* faults) {
     u64 covered = 0, bad_claims = 0;
     std::string first_claim;
     emb.walk_edge_paths(
-        guest.shape().extents(),
         [&](const MeshEdge& e, const Coord&, const CubePath& p) {
           if (cover.claim(e)) {
             ++covered;
@@ -428,13 +427,6 @@ std::vector<VerifyReport> verify_batch(const std::vector<EmbeddingPtr>& embs) {
 std::vector<VerifyReport> verify_batch(const std::vector<EmbeddingPtr>& embs,
                                        const FaultSet& faults) {
   return verify_batch_impl(embs, &faults);
-}
-
-bool verify_certified(const Embedding& emb, u32 max_dil, VerifyReport* out) {
-  VerifyReport r = verify(emb);
-  const bool ok = r.valid && r.dilation <= max_dil && r.minimal_expansion;
-  if (out) *out = std::move(r);
-  return ok;
 }
 
 std::string summary(const VerifyReport& r, const Embedding& emb) {

@@ -92,11 +92,6 @@ struct VerifyReport {
 [[nodiscard]] std::vector<VerifyReport> verify_batch(
     const std::vector<EmbeddingPtr>& embs, const FaultSet& faults);
 
-/// Convenience: verify and require structural validity, dilation <= max_dil
-/// and minimal expansion; used in tests and by the planner's certificates.
-[[nodiscard]] bool verify_certified(const Embedding& emb, u32 max_dil,
-                                    VerifyReport* out = nullptr);
-
 /// One-line summary, e.g.
 /// "7x9 -> Q6: exp 1.016 (minimal), dil 2 (avg 1.08), cong 2 (avg 0.61)".
 [[nodiscard]] std::string summary(const VerifyReport& r,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/certify.hpp"
 #include "obs/obs.hpp"
 
 namespace hj::sim {
@@ -28,10 +29,11 @@ LiveRunResult run_stencil_with_recovery(EmbeddingPtr base,
   LiveRunResult result;
   result.embedding = base;
 
-  // The pre-fault certificate fixes the d of the d+1 repair guarantee,
-  // and the product structure (lost once a repair copies the
-  // embedding) is cached up front for spare-search preference.
-  const u32 baseline_dilation = verify(*base).dilation;
+  // The pre-fault certificate fixes the d of the d+1 repair guarantee
+  // (certify() equals verify() and composes product plans without a
+  // whole-guest walk), and the product structure (lost once a repair
+  // copies the embedding) is cached up front for spare-search preference.
+  const u32 baseline_dilation = certify(*base).dilation;
   const u32 factor_dim = recovery::inner_factor_dim(*base);
   recovery::RecoveryController controller(base->guest().shape(),
                                           opts.recovery);
@@ -57,7 +59,7 @@ LiveRunResult run_stencil_with_recovery(EmbeddingPtr base,
   u64 now = 0;
   bool hard_truncated = false;  // max_cycles cap: the network is gone
   bool budget_stop = false;     // controller refused: degrade, don't thrash
-  while (result.epochs < opts.max_epochs) {
+  while (result.epochs < kMaxLiveEpochs) {
     HJ_SPAN_N("live.epoch", result.epochs);
     controller.start_epoch();
     const Embedding& emb = *result.embedding;

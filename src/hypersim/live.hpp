@@ -124,15 +124,16 @@ struct LiveRunResult {
   u64 deferred_watchdogs = 0;
 };
 
+/// Safety bound on repair epochs before undelivered messages are
+/// declared failed (accounted, ok = false).
+inline constexpr u32 kMaxLiveEpochs = 64;
+
 struct LiveOptions {
   /// Per-epoch simulator configuration. cube_dim is taken from the
   /// embedding; `faults` may carry pre-existing permanent faults and the
   /// transient model, and is copied (the original is not mutated).
   SimConfig sim;
   recovery::RecoveryOptions recovery;
-  /// Safety bound on repair epochs before undelivered messages are
-  /// declared failed (accounted, ok = false).
-  u32 max_epochs = 64;
   /// Max links quarantined at once; inserting past capacity heals the
   /// least-recently quarantined link (the LRU probe). 0 disables the cap
   /// (quarantine grows without bound, the pre-storm behaviour).

@@ -1,16 +1,19 @@
-// for_each_edge_path() must visit every guest edge exactly once, oriented
-// as Mesh::for_each_edge orients it, with exactly the path edge_path()
-// assigns, for every Embedding subclass: verify() reads the bulk walk,
-// while the per-edge edge_path() stays the reference definition.
+// walk_edge_paths() must visit every guest edge exactly once, oriented as
+// Mesh::for_each_edge orients it, with the coordinate of its `a` end and
+// exactly the path edge_path() assigns, for every Embedding subclass:
+// verify() reads the bulk walk, while the per-edge edge_path() stays the
+// reference definition.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <random>
 #include <string>
 
 #include "core/planner.hpp"
 #include "core/product.hpp"
 #include "manytoone/manytoone.hpp"
+#include "search/provider.hpp"
 #include "torus/torus.hpp"
 
 namespace hj {
@@ -33,7 +36,8 @@ void expect_walk_agrees(const Embedding& emb, const std::string& what) {
       first = std::string(why) + " at edge (" + std::to_string(e.a) + "," +
               std::to_string(e.b) + ") axis " + std::to_string(e.axis);
   };
-  emb.for_each_edge_path([&](const MeshEdge& e, const CubePath& p) {
+  emb.walk_edge_paths([&](const MeshEdge& e, const Coord& c,
+                           const CubePath& p) {
     ++visits;
     const u64 slot = u64{e.axis} * n + e.a;
     if (e.axis >= g.dims() || e.a >= n || state[slot] == 0)
@@ -42,6 +46,7 @@ void expect_walk_agrees(const Embedding& emb, const std::string& what) {
     state[slot] = 2;
     const MeshEdge& want = expected[slot];
     if (e.b != want.b || e.wrap != want.wrap) return fail(e, "wrong far end");
+    if (c != g.shape().coord(e.a)) return fail(e, "wrong coordinate");
     if (!(p == emb.edge_path(want))) return fail(e, "path differs");
   });
   EXPECT_EQ(bad, 0u) << what << ": " << first;
@@ -172,24 +177,25 @@ struct Visit {
   }
 };
 
-std::vector<Visit> walk(const Embedding& emb, const Coord& box) {
+std::vector<Visit> walk(const Embedding& emb) {
   std::vector<Visit> out;
-  emb.walk_edge_paths(box,
-                      [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
-                        out.push_back({e, c, p});
-                      });
+  emb.walk_edge_paths(
+      [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
+        out.push_back({e, c, p});
+      });
   return out;
 }
 
-TEST_F(EdgePathWalk, BoxWalkIsTheFullWalkFiltered) {
-  // A submesh hands its box down instead of filtering its base's walk,
-  // so every walk must visit, for any box, exactly the edges of its full
-  // walk that lie inside the box, in the same order; and every visit
-  // must carry the true coordinate of its `a` end.
+TEST_F(EdgePathWalk, WholeWalkCarriesTrueCoordinates) {
+  // Every visit must carry the true coordinate of its `a` end, which
+  // composites read instead of dividing e.a. A submesh keeps its base's
+  // visits whose high end lies inside its extents, in the base's order,
+  // re-indexed to its own guest.
   for (int trial = 0; trial < 60; ++trial) {
     const u32 k = 1 + static_cast<u32>(rng_() % 3);
     const std::string tag = "trial " + std::to_string(trial);
-    const EmbeddingPtr p = std::make_shared<MeshProductEmbedding>(base(k), base(k));
+    const EmbeddingPtr p =
+        std::make_shared<MeshProductEmbedding>(base(k), base(k));
     const EmbeddingPtr b2 = base(2);
     const Shape& s2 = b2->guest().shape();
     const std::vector<std::pair<EmbeddingPtr, std::string>> embs = {
@@ -205,18 +211,26 @@ TEST_F(EdgePathWalk, BoxWalkIsTheFullWalkFiltered) {
          "default walk"}};
     for (const auto& [emb, what] : embs) {
       const Shape& s = emb->guest().shape();
-      Coord box;
-      for (u32 i = 0; i < s.dims(); ++i) box.push_back(1 + rng_() % s[i]);
-      const std::vector<Visit> full = walk(*emb, s.extents());
+      const std::vector<Visit> full = walk(*emb);
+      for (const Visit& v : full)
+        EXPECT_EQ(v.c, s.coord(v.e.a)) << tag << " " << what;
+      SmallVec<u64, 4> ext;
+      for (u32 i = 0; i < s.dims(); ++i) ext.push_back(1 + rng_() % s[i]);
+      const Shape sub{ext};
       std::vector<Visit> kept;
       for (const Visit& v : full) {
-        EXPECT_EQ(v.c, s.coord(v.e.a)) << tag << " " << what;
         bool inside = true;
         for (u32 i = 0; i < s.dims(); ++i)
-          inside &= v.c[i] + (i == v.e.axis) < box[i];
-        if (inside) kept.push_back(v);
+          inside &= v.c[i] + (i == v.e.axis) < sub[i];
+        if (!inside) continue;
+        const MeshIndex a = sub.index(v.c);
+        kept.push_back(
+            {MeshEdge{a, a + sub.stride(v.e.axis), v.e.axis, false}, v.c,
+             v.p});
       }
-      EXPECT_TRUE(walk(*emb, box) == kept) << tag << " " << what;
+      const SubmeshEmbedding sm(emb, sub);
+      EXPECT_TRUE(walk(sm) == kept) << tag << " submesh of " << what;
+      expect_walk_agrees(sm, tag + " submesh of " + what);
       if (HasFailure()) return;
     }
   }
@@ -275,6 +289,65 @@ TEST_F(EdgePathWalk, CopyOfKeepsEveryNodeAndPath) {
     expect_walk_agrees(*copy, "copy of " + p.plan);
     if (HasFailure()) return;
   }
+}
+
+/// An order-sensitive digest of walk sequences: every visit's edge,
+/// coordinate and path, one 64-bit word at a time.
+struct WalkDigest {
+  u64 h = 0xcbf29ce484222325ull;
+  void add(u64 w) {
+    h = (h ^ w) * 0x100000001b3ull;
+    h ^= h >> 32;
+  }
+  void walk(const Embedding& emb) {
+    emb.walk_edge_paths(
+        [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
+          add(e.a);
+          add(e.b);
+          add(e.axis);
+          add(e.wrap);
+          add(c.size());
+          for (const u64 x : c) add(x);
+          add(p.size());
+          for (const CubeNode v : p) add(v);
+        });
+  }
+};
+
+TEST_F(EdgePathWalk, WalkSequenceDigestIsPinned) {
+  // The walk order is the embedding's own, and verify(), certify() and
+  // copy_of all read it: pin the exact visit sequence (edges, coordinates
+  // and paths) of 605 plans and their copies. The plans are the first 600
+  // shapes of the E17 distribution, planned as perfbench's plan_batch
+  // plans them (no provider), and five shapes planned with the search
+  // provider, among them both storm_recover bases. A change that moves
+  // any visit, its order, or a plan changes the digest.
+  std::mt19937_64 rng(0xE17);
+  std::uniform_int_distribution<u64> axis(2, 32);
+  std::uniform_int_distribution<u32> rank(1, 3);
+  std::vector<Shape> shapes;
+  for (int i = 0; i < 600; ++i) {
+    SmallVec<u64, 4> ext;
+    const u32 k = rank(rng);
+    for (u32 d = 0; d < k; ++d) ext.push_back(axis(rng));
+    shapes.push_back(Shape{ext});
+  }
+  std::vector<PlanResult> plans = plan_batch(shapes);
+  Planner planner;
+  planner.set_direct_provider(search::make_search_provider());
+  for (const Shape& s : {Shape{7, 9, 15}, Shape{11, 13, 23},
+                         Shape{13, 25, 41}, Shape{3, 3, 23},
+                         Shape{10, 10, 17}})
+    plans.push_back(planner.plan(s));
+  EXPECT_EQ(plans[602].plan, "sub<13x25x41>((search 3x1x41 * search 5x25x1))");
+  WalkDigest d;
+  for (const PlanResult& p : plans) {
+    d.walk(*p.embedding);
+    d.walk(*ExplicitEmbedding::copy_of(*p.embedding));
+  }
+  std::printf("walk digest of %zu plans: 0x%016llx\n", plans.size(),
+              static_cast<unsigned long long>(d.h));
+  EXPECT_EQ(d.h, 0x6f068cb00590bcf8ull);
 }
 
 }  // namespace

@@ -513,7 +513,7 @@ class Mutant final : public Embedding {
     return p;
   }
 
-  void walk_edge_paths(const Coord&, EdgeWalkFn fn) const override {
+  void walk_edge_paths(EdgeWalkFn fn) const override {
     const std::vector<MeshEdge> edges = guest().edges();
     for (auto it = edges.rbegin(); it != edges.rend(); ++it)
       fn(*it, guest().shape().coord(it->a), edge_path(*it));
@@ -581,11 +581,11 @@ class WalkMutant final : public Embedding {
   }
   bool one_to_one() const noexcept override { return base_->one_to_one(); }
 
-  void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const override {
+  void walk_edge_paths(EdgeWalkFn fn) const override {
     const Shape& s = guest().shape();
     bool first = true;
     base_->walk_edge_paths(
-        box, [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
+        [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
           if (!first) return fn(e, c, p);
           first = false;
           switch (f_) {
@@ -672,9 +672,9 @@ TEST(ReferenceVerify, WrapEdgeWalksAreChecked) {
     explicit Unwrapped(EmbeddingPtr base)
         : Embedding(base->guest(), base->host_dim()), base_(std::move(base)) {}
     CubeNode map(MeshIndex i) const override { return base_->map(i); }
-    void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const override {
+    void walk_edge_paths(EdgeWalkFn fn) const override {
       base_->walk_edge_paths(
-          box, [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
+          [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
             MeshEdge f = e;
             if (e.wrap) {  // claim the wrap slot as the plain edge a -> a+st
               f.wrap = false;
@@ -1047,9 +1047,9 @@ class NodeMapMutant final : public Embedding {
   CubePath edge_path(const MeshEdge& e) const override {
     return overridden(e) ? path_ : base_->edge_path(e);
   }
-  void walk_edge_paths(const Coord& box, EdgeWalkFn fn) const override {
+  void walk_edge_paths(EdgeWalkFn fn) const override {
     base_->walk_edge_paths(
-        box, [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
+        [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
           fn(e, c, overridden(e) ? path_ : p);
         });
   }

@@ -96,13 +96,18 @@ TEST(Verify, LoadFactorForManyToOne) {
   EXPECT_EQ(r.dilation_histogram[0], 4u);  // intra-block edges collapse
 }
 
-TEST(Verify, CertifiedHelper) {
+TEST(Verify, CertifiedConditions) {
+  // Certified: valid, dilation within the bound, minimal expansion.
   GrayEmbedding good{Mesh(Shape{4, 8})};
-  EXPECT_TRUE(verify_certified(good, 1));
+  const VerifyReport g = verify(good);
+  EXPECT_TRUE(g.valid);
+  EXPECT_LE(g.dilation, 1u);
+  EXPECT_TRUE(g.minimal_expansion);
   GrayEmbedding fat{Mesh(Shape{5, 6, 7})};  // expansion 512/210, not minimal
-  VerifyReport r;
-  EXPECT_FALSE(verify_certified(fat, 2, &r));
+  const VerifyReport r = verify(fat);
+  EXPECT_FALSE(r.valid && r.dilation <= 2 && r.minimal_expansion);
   EXPECT_TRUE(r.valid);  // structurally fine, just not minimal
+  EXPECT_FALSE(r.minimal_expansion);
 }
 
 TEST(Verify, SummaryMentionsShapeAndCube) {

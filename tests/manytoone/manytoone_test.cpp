@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
 
 #include "core/direct.hpp"
@@ -270,16 +271,21 @@ TEST(UnitPaths, ContractSweepMatchesGenericVerify) {
 }
 
 TEST(UnitPaths, DegradeProviderOutputsMatchGenericVerify) {
+  // The last two are storm_recover's bases, 11x13x23 in Q12 and 13x25x41
+  // in Q14, whose replans mostly end in the degrade provider: the unit
+  // scan is the verify() path that workload reads.
   const DegradeProvider provider = make_degrade_provider();
-  u32 placed = 0;
+  u32 placed = 0, placed_storm = 0;
   for (const Shape& shape :
-       {Shape{4, 4, 4}, Shape{3, 3, 7}, Shape{5, 6, 8}, Shape{7, 9, 15}})
+       {Shape{4, 4, 4}, Shape{3, 3, 7}, Shape{5, 6, 8}, Shape{7, 9, 15},
+        Shape{11, 13, 23}, Shape{13, 25, 41}})
     for (u64 seed = 1; seed <= 6; ++seed) {
       const u32 n = shape.minimal_cube_dim();
       const FaultSet faults = seeded_faults(n, seed, 3 * static_cast<u32>(seed));
       const auto degraded = provider(shape, n, faults);
       if (!degraded) continue;
       ++placed;
+      placed_storm += shape.num_nodes() > 3000;
       const std::string what = shape.to_string() + " seed " +
                                std::to_string(seed) + " " + degraded->plan;
       EXPECT_TRUE(degraded->embedding->unit_paths()) << what;
@@ -291,6 +297,9 @@ TEST(UnitPaths, DegradeProviderOutputsMatchGenericVerify) {
       expect_unit_scan_matches_oracle(degraded->embedding, what);
     }
   EXPECT_GE(placed, 20u);
+  std::printf("degrade oracle: %u placements, %u on the storm bases\n",
+              placed, placed_storm);
+  EXPECT_EQ(placed_storm, 12u);  // every seed places on both
 }
 
 }  // namespace
