@@ -242,6 +242,24 @@ void Planner::try_search(const Shape& shape, Entry& incumbent) {
 }
 
 void Planner::try_factorizations(const Shape& shape, Entry& incumbent) {
+  // A product of factors of n1 and n2 nodes needs at least
+  // log2_ceil(n1) + log2_ceil(n2) dimensions. A measuring objective
+  // builds cube ties; Lexicographic needs a lower cube, as a tie never
+  // wins there (DESIGN.md §12 has the proof).
+  const auto can_win = [&](u64 n1, u64 n2) {
+    const u32 cube_floor = log2_ceil(n1) + log2_ceil(n2);
+    if (tie_viable() ? cube_floor <= incumbent.cube
+                     : cube_floor < incumbent.cube)
+      return true;
+    // Timing-kind: which best() calls run at all depends on which worker
+    // published a shared sub-plan first.
+    if (obs::enabled()) {
+      static obs::Counter& cuts = obs::Registry::global().counter(
+          "planner.factor.cut", obs::Kind::Timing);
+      cuts.add();
+    }
+    return false;
+  };
   const u32 k = shape.dims();
   std::vector<SmallVec<u64, 16>> divs(k);
   for (u32 i = 0; i < k; ++i) divs[i] = divisors(shape[i]);
@@ -260,10 +278,8 @@ void Planner::try_factorizations(const Shape& shape, Entry& incumbent) {
     const u64 n2 = shape.num_nodes() / n1;
     // Skip trivial splits and canonicalize (the pair is unordered; the
     // lower-dilation factor is placed inner regardless).
-    if (n1 > 1 && n2 > 1 && n1 <= n2) {
+    if (n1 > 1 && n2 > 1 && n1 <= n2 && can_win(n1, n2)) {
       Shape s1{f1}, s2{f2};
-      // Only useful when the factor cubes can sum to the minimal cube:
-      // both factors must be minimally embeddable for the product to be.
       Entry e1 = best(s1, false);
       Entry e2 = best(s2, false);
       Entry e;
@@ -291,11 +307,22 @@ void Planner::try_factorizations(const Shape& shape, Entry& incumbent) {
 void Planner::try_extensions(const Shape& shape, Entry& incumbent) {
   const u64 total = product_of(shape);
   const u64 budget = ceil_pow2(total);
+  const u32 minimal = log2_ceil(total);
   for (u32 i = 0; i < shape.dims(); ++i) {
     const u64 rest = total / shape[i];
     const u64 vmax = budget / rest;  // keep the extended mesh within the
                                      // minimal cube of the original
     for (u64 v = shape[i] + 1; v <= vmax; ++v) {
+      // Every extension stays within the original's minimal cube, so
+      // once the incumbent sits there none can win (DESIGN.md §12).
+      if (!tie_viable() && incumbent.cube == minimal) {
+        if (obs::enabled()) {
+          static obs::Counter& cuts = obs::Registry::global().counter(
+              "planner.extend.cut", obs::Kind::Timing);
+          cuts.add();
+        }
+        return;
+      }
       SmallVec<u64, 4> ext = shape.extents();
       ext[i] = v;
       Shape bigger{ext};
@@ -318,34 +345,31 @@ void Planner::try_pattern_extension(const Shape& shape, Entry& incumbent) {
   // Multi-axis extension to the 3*2^a / 7*2^a patterns of Figure 2's
   // method 3 (only meaningful for 3D shapes; other ranks skip).
   if (shape.dims() != 3) return;
-  struct Pattern {
-    u64 c[3];
-    Shape table;
-  };
-  const std::vector<Pattern> patterns = {
-      {{3, 3, 3}, Shape{3, 3, 3}}, {{7, 3, 3}, Shape{7, 3, 3}},
-      {{3, 7, 3}, Shape{3, 7, 3}}, {{3, 3, 7}, Shape{3, 3, 7}},
-  };
-  for (const Pattern& p : patterns) {
-    SmallVec<u64, 4> inner_ext, outer_ext;
+  // The direct table of each pattern; the paper's tables reach the
+  // minimal cube (core/direct.hpp), so a table's cube is log2_ceil of
+  // its node count.
+  static constexpr u64 kTables[][3] = {
+      {3, 3, 3}, {7, 3, 3}, {3, 7, 3}, {3, 3, 7}};
+  for (const u64(&c)[3] : kTables) {
+    SmallVec<u64, 4> inner_ext;
+    u32 cube = log2_ceil(c[0] * c[1] * c[2]);
     bool exact = true;
     for (u32 i = 0; i < 3; ++i) {
       const u64 li = shape[i];
-      const u64 pow = li <= p.c[i]
-                          ? 1
-                          : ceil_pow2((li + p.c[i] - 1) / p.c[i]);
+      const u64 pow = li <= c[i] ? 1 : ceil_pow2((li + c[i] - 1) / c[i]);
       inner_ext.push_back(pow);
-      outer_ext.push_back(p.c[i]);
-      if (pow * p.c[i] < li) exact = false;
+      cube += log2_ceil(pow);
+      if (pow * c[i] < li) exact = false;
     }
     if (!exact) continue;
-    auto table = direct_embedding(p.table);
-    if (!table) continue;
-    auto inner = std::make_shared<GrayEmbedding>(Mesh(Shape{inner_ext}));
-    const u32 cube = inner->host_dim() + (*table)->host_dim();
     if (cube > incumbent.cube || (cube == incumbent.cube && !tie_viable()))
       continue;
+    const Shape table_shape{c[0], c[1], c[2]};
+    auto table = direct_embedding(table_shape);
+    if (!table) continue;
+    auto inner = std::make_shared<GrayEmbedding>(Mesh(Shape{inner_ext}));
     auto prod = std::make_shared<MeshProductEmbedding>(inner, *table);
+    assert(prod->host_dim() == cube);
     Entry e;
     e.cube = cube;
     e.dil = 2;
@@ -354,7 +378,7 @@ void Planner::try_pattern_extension(const Shape& shape, Entry& incumbent) {
                 : EmbeddingPtr(std::make_shared<SubmeshEmbedding>(prod, shape));
     e.desc = "sub<" + shape.to_string() + ">(gray " +
              Shape{inner_ext}.to_string() + " * direct " +
-             p.table.to_string() + ")";
+             table_shape.to_string() + ")";
     consider(incumbent, std::move(e));
   }
 }

@@ -19,7 +19,10 @@
 //
 // All leaves have dilation 1 (Gray) or 2 (tables/search), and products
 // and submeshes preserve the maximum, so every plan has dilation <= 2;
-// what varies is whether the minimal cube is reached. The returned
+// what varies is whether the minimal cube is reached. The search skips
+// a factorization whose cube floor cannot beat the plan in hand, and
+// the axis extensions once that plan reaches the minimal cube; neither
+// cut changes a plan (DESIGN.md §12). The returned
 // embedding always carries a fresh certificate (certify(): verify()'s
 // report, composed by Theorem 3 for Gray and product plans).
 #pragma once

@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -238,6 +241,125 @@ TEST(PlanAvoiding, PlanStringEmbedsThePlainPlanUnderEveryObjective) {
       }
     }
   }
+}
+
+/// An order-sensitive digest of plans: each plan string and all 19
+/// fields of its certificate, one 64-bit word at a time.
+struct PlanDigest {
+  u64 h = 0xcbf29ce484222325ull;
+  void add(u64 w) {
+    h = (h ^ w) * 0x100000001b3ull;
+    h ^= h >> 32;
+  }
+  void add(double x) { add(std::bit_cast<u64>(x)); }
+  void add(const std::string& s) {
+    add(static_cast<u64>(s.size()));
+    for (const char ch : s) add(u64{static_cast<unsigned char>(ch)});
+  }
+  void add(const std::vector<u64>& v) {
+    add(static_cast<u64>(v.size()));
+    for (const u64 x : v) add(x);
+  }
+  void plan(const PlanResult& p) {
+    add(p.plan);
+    const VerifyReport& r = p.report;
+    add(u64{r.valid});
+    add(static_cast<u64>(r.errors.size()));
+    for (const std::string& e : r.errors) add(e);
+    add(r.guest_nodes);
+    add(r.guest_edges);
+    add(u64{r.host_dim});
+    add(r.expansion);
+    add(u64{r.minimal_expansion});
+    add(u64{r.dilation});
+    add(r.avg_dilation);
+    add(r.dilation_histogram);
+    add(r.wirelength);
+    add(u64{r.bounds.host_dim});
+    add(u64{r.bounds.dilation});
+    add(u64{r.bounds.congestion});
+    add(r.bounds.wirelength);
+    add(r.bounds.load);
+    add(u64{r.congestion});
+    add(r.avg_congestion);
+    add(r.congestion_histogram);
+    add(r.load_factor);
+    add(u64{r.fault_free});
+    add(r.faulted_nodes);
+    add(r.faulted_paths);
+  }
+};
+
+/// A batch of the E17 distribution (bench/perf_parallel): rank 1-3,
+/// axes 2..32.
+std::vector<Shape> e17_batch(u64 seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<u64> axis(2, 32);
+  std::uniform_int_distribution<u32> rank(1, 3);
+  std::vector<Shape> shapes;
+  for (int i = 0; i < 2000; ++i) {
+    SmallVec<u64, 4> ext;
+    const u32 k = rank(rng);
+    for (u32 d = 0; d < k; ++d) ext.push_back(axis(rng));
+    shapes.push_back(Shape{ext});
+  }
+  return shapes;
+}
+
+TEST(Planner, PlanDigestIsPinned) {
+  // The planner's search may only get faster: pin the plan string and
+  // the whole certificate of 20 E17 batches (no provider, as perfbench's
+  // plan_batch plans them), of the 4672 canonical shapes of at most 512
+  // nodes without and with the search provider and under each measuring
+  // objective, and of E21's 13 shapes under every objective. A search
+  // change that moves any plan or any report field changes the digest.
+  PlanDigest d;
+  u64 entries = 0;
+  for (u64 b = 0; b < 20; ++b) {
+    ShardedPlanCache cache;
+    for (const PlanResult& p : plan_batch(e17_batch(0xE17 + b), {}, nullptr,
+                                          &cache))
+      d.plan(p);
+    if (b == 0) entries = cache.size();
+  }
+  const std::vector<Shape> canonical =
+      store::enumerate_canonical_shapes(512, 3);
+  ASSERT_EQ(canonical.size(), 4672u);
+  for (const bool with_search : {false, true}) {
+    Planner p = make_planner(with_search);
+    for (const Shape& s : canonical) d.plan(p.plan(s));
+  }
+  // A measuring objective builds cube ties (and certifies each), so its
+  // search may skip less: an extension scan cut at the minimal cube
+  // moves 3x69 under the dilation objective, for one.
+  for (u32 o = 1; o < cost::kNumObjectives; ++o) {
+    PlannerOptions opts;
+    opts.objective = static_cast<cost::Objective>(o);
+    Planner p(opts);
+    p.set_direct_provider(search::make_search_provider());
+    for (const Shape& s : canonical) d.plan(p.plan(s));
+  }
+  const Shape e21[] = {
+      Shape{3, 3, 3},  Shape{3, 3, 7},   Shape{5, 5, 8},  Shape{5, 6, 6},
+      Shape{6, 6, 10}, Shape{3, 5, 12},  Shape{6, 6, 17}, Shape{9, 12, 21},
+      Shape{6, 6, 8},  Shape{3, 6, 14},  Shape{6, 12, 7}, Shape{5, 5, 12},
+      Shape{6, 10, 10}};
+  for (u32 o = 0; o < cost::kNumObjectives; ++o) {
+    PlannerOptions opts;
+    opts.objective = static_cast<cost::Objective>(o);
+    Planner p(opts);
+    p.set_direct_provider(search::make_search_provider());
+    for (const Shape& s : e21) d.plan(p.plan(s));
+  }
+  std::printf("plan digest: 0x%016llx, first batch cache entries: %llu\n",
+              static_cast<unsigned long long>(d.h),
+              static_cast<unsigned long long>(entries));
+  EXPECT_EQ(d.h, 0x6b218fe201d63ed4ull);
+  // The number of sub-plans the first batch plans: a pure function of
+  // the batch at any HJ_THREADS (a cache hit means the whole sub-search
+  // under it ran once already). Without the search's cube cuts it is
+  // 14163.
+  EXPECT_EQ(entries, 4892u);
 }
 
 class PlannerCoverage : public ::testing::TestWithParam<Shape> {};

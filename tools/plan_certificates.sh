@@ -2,8 +2,11 @@
 # Print the planner's certificate (`hj_embed plan`) for a fixed set of
 # shapes: Gray, direct, search, product, sub-of-product and relabelled
 # plans, the deep product chains, rank-1 to rank-4 meshes, products over
-# relabelled table cores and one non-default objective. Every line is deterministic, so the output is a
-# golden of the plan strings and of every verify() report field printed.
+# relabelled table cores, non-default objectives, and shapes whose search
+# the planner's cube bounds cut short (the factorization cut fires on
+# 3x3x23, 5x9x13 and 6x6x10 under congestion, the extension cut on 17x19
+# and 11x21). Every line is deterministic, so the output is a golden of
+# the plan strings and of every verify() report field printed.
 #
 #   tools/plan_certificates.sh build/examples/hj_embed \
 #     | cmp - bench/golden/hj_plan_certificates.txt
@@ -53,4 +56,11 @@ done <<'SHAPES'
 3 5 7 9
 6 10 12 2
 6 10 12 --objective=wirelength
+17 31
+5 9 13
+2 31 31
+27 27
+6 6 10 --objective=congestion
+17 19
+11 21
 SHAPES
