@@ -1,9 +1,12 @@
 #include "core/certify.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 
+#include "core/direct.hpp"
 #include "core/product.hpp"
+#include "obs/obs.hpp"
 
 namespace hj {
 namespace {
@@ -65,49 +68,59 @@ Span clip(u64 y, u64 l, u64 lo, u64 hi) {
   return (y & 1) ? Span{l - b, l - a} : Span{a, b};
 }
 
-/// One leaf of a flattened chain. A Gray leaf is known in closed form.
-/// Any other leaf lists its edges, each with the coordinate of its `a`
-/// end and the host links of its path as dense ids, read from one walk
-/// after verify() has accepted the leaf.
-struct Leaf {
-  struct Edge {
-    Coord c;
-    u32 axis = 0;
-    u32 hop0 = 0;  // the path's first link in hop_link
-    u32 hops = 0;
-  };
+/// C(t, m), for the small t of a link's users.
+u64 binom(u32 t, u32 m) {
+  u64 c = 1;
+  for (u32 i = 0; i < m; ++i) c = c * (t - i) / (i + 1);
+  return c;
+}
 
+/// The leaf `base` read through a relabel that sends base axis i to axis
+/// axis_of_base[i] of a rank-k guest. Its links, and so its users, are
+/// the base's.
+void relabel_leaf(const ChainLeaf& base, const SmallVec<u32, 4>& axis_of_base,
+                  u32 k, ChainLeaf& out) {
+  out.edges.clear();
+  out.edges.reserve(base.edges.size());
+  for (const ChainLeaf::Edge& e : base.edges) {
+    Coord c(k, 0);  // inserted length-1 axes stay at 0
+    for (u32 i = 0; i < axis_of_base.size(); ++i) c[axis_of_base[i]] = e.c[i];
+    out.edges.push_back({c, axis_of_base[e.axis], e.hops});
+  }
+  out.user_first = base.user_first;
+  out.user_edge = base.user_edge;
+}
+
+/// One leaf of a flattened chain. A Gray leaf is known in closed form;
+/// any other leaf is folded from its ChainLeaf.
+struct Leaf {
   const Embedding* emb = nullptr;
   bool gray = false;
-  std::vector<Edge> edges;
-  std::vector<u32> hop_link;
-  u32 links = 0;
+  const ChainLeaf* paths = nullptr;  // a stored leaf, or `read`
+  ChainLeaf read;
 };
 
-/// Reads `emb` as a leaf; false when it cannot be composed: it wraps, is
-/// many-to-one, or is not Gray and fails verify().
+/// Reads `emb` as a leaf; false when it cannot be composed.
 bool read_leaf(const Embedding& emb, Leaf& leaf) {
   leaf.emb = &emb;
   if (emb.guest().any_wrap() || !emb.one_to_one()) return false;
   leaf.gray = dynamic_cast<const GrayEmbedding*>(&emb) != nullptr;
   if (leaf.gray) return true;
-  if (!verify(emb).valid) return false;
-  std::vector<u64> keys;
-  emb.walk_edge_paths(
-      [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
-        leaf.edges.push_back({c, e.axis, static_cast<u32>(keys.size()),
-                              static_cast<u32>(p.size() - 1)});
-        for (std::size_t t = 0; t + 1 < p.size(); ++t)
-          keys.push_back(Hypercube::edge_key(p[t], p[t + 1]));
-      });
-  std::vector<u64> ids(keys);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  leaf.links = static_cast<u32>(ids.size());
-  leaf.hop_link.reserve(keys.size());
-  for (const u64 key : keys)
-    leaf.hop_link.push_back(static_cast<u32>(
-        std::lower_bound(ids.begin(), ids.end(), key) - ids.begin()));
+  leaf.paths = stored_chain_leaf(emb, leaf.read);
+  // Timing-kind: measure() certifies the candidates of best() calls,
+  // which run or are served from the shared cache as the workers race.
+  if (obs::enabled()) {
+    static obs::Counter& stored = obs::Registry::global().counter(
+        "certify.leaf.stored", obs::Kind::Timing);
+    static obs::Counter& walked = obs::Registry::global().counter(
+        "certify.leaf.walked", obs::Kind::Timing);
+    (leaf.paths ? stored : walked).add();
+  }
+  if (leaf.paths) return true;
+  std::optional<ChainLeaf> read = read_chain_leaf(emb);
+  if (!read) return false;
+  leaf.read = std::move(*read);
+  leaf.paths = &leaf.read;
   return true;
 }
 
@@ -139,7 +152,7 @@ class Fold {
 
   /// The report of P_level on a nonempty box of its guest.
   const BoxReport& report(u32 level, const Box& box) {
-    std::vector<u64> key{level};
+    Key key{level};
     for (std::size_t a = 0; a < box.lo.size(); ++a) {
       key.push_back(box.lo[a]);
       key.push_back(box.hi[a]);
@@ -176,16 +189,20 @@ class Fold {
       add(out.load, 1, edges);
       return;
     }
-    std::vector<u32> load(f.links, 0);
-    for (const Leaf::Edge& e : f.edges) {
-      bool in = true;
-      for (u32 a = 0; a < k && in; ++a)
-        in = box.lo[a] <= e.c[a] && e.c[a] + (a == e.axis) < box.hi[a];
-      if (!in) continue;
-      add(out.dil, e.hops, 1);
-      for (u32 t = 0; t < e.hops; ++t) ++load[f.hop_link[e.hop0 + t]];
+    const ChainLeaf& p = *f.paths;
+    std::vector<u8> in(p.edges.size(), 1);
+    for (u32 i = 0; i < p.edges.size(); ++i) {
+      const ChainLeaf::Edge& e = p.edges[i];
+      for (u32 a = 0; a < k && in[i]; ++a)
+        in[i] = box.lo[a] <= e.c[a] && e.c[a] + (a == e.axis) < box.hi[a];
+      if (in[i]) add(out.dil, e.hops, 1);
     }
-    for (const u32 c : load) add(out.load, c, c > 0);
+    for (u32 l = 0; l < p.links(); ++l) {
+      u64 load = 0;
+      for (u32 u = p.user_first[l]; u < p.user_first[l + 1]; ++u)
+        load += in[p.user_edge[u]];
+      add(out.load, load, load > 0);
+    }
   }
 
   /// Level i's inner links: each copy of P_{i-1} the box meets adds
@@ -281,66 +298,126 @@ class Fold {
       add(out.load, 1, carried);
       return;
     }
-    // Each edge's carriers form a box. Cut every axis at every carrier
-    // bound: each cell of the cut grid then lies wholly inside or outside
-    // each carrier box, so all its nodes see the same loads on their
-    // copies of F_i's links.
-    struct Placed {
-      Box x;
-      const Leaf::Edge* e;
-    };
-    std::vector<Placed> placed;
-    std::vector<std::vector<u64>> cuts(k);
+    // Each edge's carriers form a box X_e, and the copy of link L at
+    // carrier x carries the users of L whose boxes hold x. The number of
+    // x whose copy carries exactly m users follows by inclusion-exclusion
+    // over those boxes: E_m = sum_{t >= m} (-1)^(t-m) C(t, m) S_t, where
+    // S_t sums the sizes of the intersections of t of them.
+    const ChainLeaf& p = *f.paths;
+    constexpr u32 kNone = ~u32{0};
+    std::vector<u32> at(p.edges.size(), kNone);  // edge -> its box in xs
+    std::vector<Box> xs;
     Box x{Coord(k, 0), Coord(k, 0)};
-    for (const Leaf::Edge& e : f.edges) {
+    for (u32 i = 0; i < p.edges.size(); ++i) {
+      const ChainLeaf::Edge& e = p.edges[i];
       if (!carriers(level, box, e.c, e.axis, x)) continue;
+      at[i] = static_cast<u32>(xs.size());
+      xs.push_back(x);
       add(out.dil, e.hops, x.num_nodes());
-      for (u32 a = 0; a < k; ++a) {
-        cuts[a].push_back(x.lo[a]);
-        cuts[a].push_back(x.hi[a]);
-      }
-      placed.push_back({x, &e});
     }
-    if (placed.empty()) return;
-    for (std::vector<u64>& c : cuts) {
-      std::sort(c.begin(), c.end());
-      c.erase(std::unique(c.begin(), c.end()), c.end());
-    }
-    std::vector<u32> load(f.links, 0);
-    std::vector<u32> used;
-    SmallVec<u32, 4> cell(k, 0);  // per axis, the interval [cuts[i], cuts[i+1])
-    for (;;) {
-      u64 nodes = 1;
-      for (u32 a = 0; a < k; ++a)
-        nodes *= cuts[a][cell[a] + 1] - cuts[a][cell[a]];
-      for (const Placed& p : placed) {
-        bool in = true;
-        for (u32 a = 0; a < k && in; ++a)
-          in = p.x.lo[a] <= cuts[a][cell[a]] &&
-               cuts[a][cell[a] + 1] <= p.x.hi[a];
-        if (!in) continue;
-        for (u32 t = 0; t < p.e->hops; ++t) {
-          const u32 id = f.hop_link[p.e->hop0 + t];
-          if (load[id]++ == 0) used.push_back(id);
+    if (xs.empty()) return;
+    Users users;
+    const Box all{Coord(k, 0), Coord(k, ~u64{0})};
+    for (u32 l = 0; l < p.links(); ++l) {
+      users.clear();
+      for (u32 u = p.user_first[l]; u < p.user_first[l + 1]; ++u)
+        if (at[p.user_edge[u]] != kNone)
+          users.push_back(&xs[at[p.user_edge[u]]]);
+      std::array<u64, kMaxLinkUsers + 1> sums{};
+      intersections(users, 0, all, sums);
+      const u32 n = static_cast<u32>(users.size());
+      for (u32 m = 1; m <= n; ++m) {
+        u64 exact = 0;  // wraps through the negative partial sums
+        for (u32 t = m; t <= n; ++t) {
+          const u64 term = binom(t, m) * sums[t];
+          exact = (t - m) % 2 ? exact - term : exact + term;
         }
+        add(out.load, m, exact);
       }
-      for (const u32 id : used) {
-        add(out.load, load[id], nodes);
-        load[id] = 0;
-      }
-      used.clear();
-      u32 a = 0;
-      while (a < k && ++cell[a] + 1 == cuts[a].size()) cell[a++] = 0;
-      if (a == k) break;
     }
   }
 
+  using Users = SmallVec<const Box*, kMaxLinkUsers>;
+
+  /// sums[t] += the size of `in` intersected with each t - |chosen| more
+  /// of users[from..], over every such choice; `in` holds the intersection
+  /// of the users chosen so far. Empty intersections end the branch.
+  static void intersections(const Users& users, u32 from, const Box& in,
+                            std::array<u64, kMaxLinkUsers + 1>& sums,
+                            u32 chosen = 0) {
+    const u32 k = static_cast<u32>(in.lo.size());
+    for (u32 i = from; i < users.size(); ++i) {
+      Box b = in;
+      u64 size = 1;
+      for (u32 a = 0; a < k && size; ++a) {
+        b.lo[a] = std::max(in.lo[a], users[i]->lo[a]);
+        b.hi[a] = std::min(in.hi[a], users[i]->hi[a]);
+        size = b.lo[a] < b.hi[a] ? size * (b.hi[a] - b.lo[a]) : 0;
+      }
+      if (size == 0) continue;
+      sums[chosen + 1] += size;
+      intersections(users, i + 1, b, sums, chosen + 1);
+    }
+  }
+
+  /// (level, box.lo[0], box.hi[0], ...), inline for k <= 4.
+  using Key = SmallVec<u64, 9>;
+  struct KeyLess {
+    bool operator()(const Key& a, const Key& b) const {
+      return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                          b.end());
+    }
+  };
+
   std::vector<const Leaf*> chain_;
   std::vector<Coord> inner_;  // inner_[i]: the extents of P_{i-1}
-  std::map<std::vector<u64>, BoxReport> memo_;
+  std::map<Key, BoxReport, KeyLess> memo_;
 };
 
 }  // namespace
+
+std::optional<ChainLeaf> read_chain_leaf(const Embedding& emb) {
+  if (emb.guest().any_wrap() || !emb.one_to_one() || !verify(emb).valid)
+    return std::nullopt;
+  ChainLeaf leaf;
+  leaf.edges.reserve(emb.guest().num_edges());
+  struct Hop {
+    u64 key;  // the link's
+    u32 edge;
+  };
+  std::vector<Hop> hops;
+  emb.walk_edge_paths(
+      [&](const MeshEdge& e, const Coord& c, const CubePath& p) {
+        const auto i = static_cast<u32>(leaf.edges.size());
+        leaf.edges.push_back({c, e.axis, static_cast<u32>(p.size() - 1)});
+        for (std::size_t t = 0; t + 1 < p.size(); ++t)
+          hops.push_back({Hypercube::edge_key(p[t], p[t + 1]), i});
+      });
+  // In key order, a link's hops are one run, its users in edge order.
+  std::sort(hops.begin(), hops.end(), [](const Hop& x, const Hop& y) {
+    return x.key != y.key ? x.key < y.key : x.edge < y.edge;
+  });
+  leaf.user_edge.reserve(hops.size());
+  for (u32 i = 0; i < hops.size(); ++i) {
+    if (i == 0 || hops[i].key != hops[i - 1].key) leaf.user_first.push_back(i);
+    leaf.user_edge.push_back(hops[i].edge);
+  }
+  leaf.user_first.push_back(static_cast<u32>(hops.size()));
+  for (u32 l = 0; l < leaf.links(); ++l)
+    if (leaf.user_first[l + 1] - leaf.user_first[l] > kMaxLinkUsers)
+      return std::nullopt;
+  return leaf;
+}
+
+const ChainLeaf* stored_chain_leaf(const Embedding& emb, ChainLeaf& scratch) {
+  const auto* r = dynamic_cast<const RelabelEmbedding*>(&emb);
+  if (!r) return table_leaf(emb);
+  ChainLeaf inner;
+  const ChainLeaf* base = stored_chain_leaf(r->base(), inner);
+  if (!base) return nullptr;
+  relabel_leaf(*base, r->axis_of_base(), r->guest().dims(), scratch);
+  return &scratch;
+}
 
 VerifyReport certify(const Embedding& emb, bool* composed) {
   if (composed) *composed = false;

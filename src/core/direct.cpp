@@ -1,7 +1,9 @@
 #include "core/direct.hpp"
 
+#include <algorithm>
 #include <span>
 
+#include "core/certify.hpp"
 #include "core/product.hpp"
 #include "core/router.hpp"
 
@@ -19,16 +21,23 @@ struct TableEntry {
 #include "core/tables/open_shapes.inc"
 #include "core/tables/direct_tables.inc"
 
-/// A family of tables, their embeddings built and congestion-routed once.
+const TableEntry kExtraTables[] = {
+    {Shape{15, 17}, 8, kExtra_15_17},
+    {Shape{5, 5, 5}, 7, kExtra_5_5_5},
+};
+
+/// A family of tables, their embeddings built and congestion-routed once,
+/// each with its chain leaf (core/certify.hpp) when `leaves` is set.
 class TableSet {
  public:
-  explicit TableSet(std::span<const TableEntry> tables) {
+  TableSet(std::span<const TableEntry> tables, bool leaves) {
     for (const TableEntry& t : tables) {
       shapes_.push_back(t.shape);
       auto emb = std::make_shared<ExplicitEmbedding>(
           Mesh(t.shape), t.cube_dim,
           std::vector<CubeNode>(t.map.begin(), t.map.end()));
       route_minimize_congestion(*emb);
+      leaves_.push_back(leaves ? read_chain_leaf(*emb) : std::nullopt);
       built_.push_back(std::move(emb));
     }
   }
@@ -49,28 +58,39 @@ class TableSet {
     return std::nullopt;
   }
 
+  /// The leaf of the built table `emb`, if it is one and has a leaf.
+  [[nodiscard]] const ChainLeaf* leaf(const Embedding& emb) const {
+    for (std::size_t i = 0; i < built_.size(); ++i)
+      if (built_[i].get() == &emb) return leaves_[i] ? &*leaves_[i] : nullptr;
+    return nullptr;
+  }
+
  private:
   std::vector<Shape> shapes_;
   std::vector<EmbeddingPtr> built_;
+  std::vector<std::optional<ChainLeaf>> leaves_;
 };
 
 const TableSet& paper_tables() {
-  static const TableSet t(kDirectTables);
+  static const TableSet t(kDirectTables, true);
   return t;
 }
 
 const TableSet& extra_tables() {
-  static const TableEntry entries[] = {
-      {Shape{15, 17}, 8, kExtra_15_17},
-      {Shape{5, 5, 5}, 7, kExtra_5_5_5},
-  };
-  static const TableSet t(entries);
+  static const TableSet t(kExtraTables, true);
   return t;
 }
 
+// A search table is only ever read as a node map.
 const TableSet& search_tables() {
-  static const TableSet t(kSearchTables);
+  static const TableSet t(kSearchTables, false);
   return t;
+}
+
+/// True iff one of `tables` has `shape`.
+bool has_shape(std::span<const TableEntry> tables, const Shape& shape) {
+  return std::any_of(tables.begin(), tables.end(),
+                     [&](const TableEntry& t) { return t.shape == shape; });
 }
 
 }  // namespace
@@ -93,6 +113,15 @@ const std::vector<Shape>& extra_table_shapes() {
 
 std::optional<EmbeddingPtr> extra_embedding(const Shape& shape) {
   return extra_tables().find(shape);
+}
+
+const ChainLeaf* table_leaf(const Embedding& emb) {
+  // A built table has its table's shape.
+  if (!dynamic_cast<const ExplicitEmbedding*>(&emb)) return nullptr;
+  const Shape& s = emb.guest().shape();
+  if (has_shape(kDirectTables, s))
+    if (const ChainLeaf* l = paper_tables().leaf(emb)) return l;
+  return has_shape(kExtraTables, s) ? extra_tables().leaf(emb) : nullptr;
 }
 
 const std::vector<Shape>& search_table_shapes() {

@@ -88,6 +88,12 @@ class RelabelEmbedding final : public Embedding {
     return base_->unit_paths();
   }
 
+  [[nodiscard]] const Embedding& base() const noexcept { return *base_; }
+  /// Base axis -> target axis.
+  [[nodiscard]] const SmallVec<u32, 4>& axis_of_base() const noexcept {
+    return axis_of_base_;
+  }
+
  private:
   [[nodiscard]] MeshIndex to_base(MeshIndex idx) const;
 

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/obs.hpp"
 #include "search/provider.hpp"
 #include "store/precompute.hpp"
 
@@ -360,6 +361,25 @@ TEST(Planner, PlanDigestIsPinned) {
   // under it ran once already). Without the search's cube cuts it is
   // 14163.
   EXPECT_EQ(entries, 4892u);
+}
+
+TEST(Planner, CertifyWalksNoTableLeafOfAnE17Batch) {
+  // Every non-Gray leaf of a no-provider plan is a paper table or a
+  // relabel of one, and certify() folds it from the leaf stored with the
+  // table: a batch reads leaves, and walks none.
+  const bool was_on = obs::enabled();
+  obs::set_enabled(true);
+  auto& reg = obs::Registry::global();
+  const obs::Counter& stored =
+      reg.counter("certify.leaf.stored", obs::Kind::Timing);
+  const obs::Counter& walked =
+      reg.counter("certify.leaf.walked", obs::Kind::Timing);
+  const u64 stored0 = stored.value();
+  const u64 walked0 = walked.value();
+  (void)plan_batch(e17_batch(0xE17));
+  obs::set_enabled(was_on);
+  EXPECT_GT(stored.value() - stored0, 0u);
+  EXPECT_EQ(walked.value() - walked0, 0u);
 }
 
 class PlannerCoverage : public ::testing::TestWithParam<Shape> {};

@@ -13,7 +13,7 @@
 // certify(), which composes Gray, product and submesh-of-product reports
 // by Theorem 3; the composition gate checks it against a fresh verify()
 // and this checker on every canonical shape, E17 batches and the property
-// shapes.
+// shapes, and the leaf each table stores for it against a fresh read.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -961,6 +961,38 @@ EmbeddingPtr random_tree(const std::vector<EmbeddingPtr>& leaves,
       random_tree(leaves, lo, mid, rng), random_tree(leaves, mid, hi, rng));
 }
 
+/// A 2x2x3 Gray map in Q4, hosted in Q5, whose first `busy` edges detour
+/// through the link p - p^16, p a node no guest node uses: down to p in
+/// Q4, across, back in the upper half and down onto the edge's far end.
+/// Each detour is shortest within each half, so that link, with `busy`
+/// paths, is the busiest.
+EmbeddingPtr busy_link_leaf(u32 busy) {
+  const Mesh mesh(Shape{2, 2, 3});
+  std::vector<CubeNode> map;
+  GrayEmbedding(mesh).map_all(map);
+  CubeNode p = 0;
+  while (std::find(map.begin(), map.end(), p) != map.end()) ++p;
+  auto emb = std::make_shared<ExplicitEmbedding>(mesh, 5, map);
+  const std::vector<MeshEdge> edges = mesh.edges();
+  for (u32 i = 0; i < busy; ++i) {
+    const MeshEdge& e = edges[i];
+    CubePath path = Hypercube::ecube_path(map[e.a], p);
+    for (const CubeNode v : Hypercube::ecube_path(p ^ 16, map[e.b] ^ 16))
+      path.push_back(v);
+    path.push_back(map[e.b]);
+    emb->set_edge_path(e, std::move(path));
+  }
+  return emb;
+}
+
+/// A random permutation of 0..k-1.
+SmallVec<u32, 4> random_axes(u32 k, std::mt19937_64& rng) {
+  std::vector<u32> axes(k);
+  for (u32 a = 0; a < k; ++a) axes[a] = a;
+  std::shuffle(axes.begin(), axes.end(), rng);
+  return SmallVec<u32, 4>(axes.begin(), axes.end());
+}
+
 TEST(ReferenceVerify, ComposedCertificatesOfRandomChains) {
   // Trees the planner does not build: rank-3 Gray meshes and relabelled
   // tables as leaves, any nesting, and submesh boxes of any size, Gray
@@ -1006,6 +1038,80 @@ TEST(ReferenceVerify, ComposedCertificatesOfRandomChains) {
     compare(r, reference_verify(*top, nullptr), what);
     ++checked;
   }
+  // Leaves with links of three or more paths, which the paper tables
+  // lack: the 5x5x5 extra table (congestion 3) under a random axis map,
+  // search-table maps padded to rank 3 and routed by either router, and
+  // explicit leaves with a link of kMaxLinkUsers paths (folded) or of one
+  // more (verify()'s).
+  const std::vector<Shape> searched = {Shape{5, 5, 5}, Shape{3, 3, 11},
+                                       Shape{5, 5}, Shape{3, 9}};
+  ASSERT_TRUE(read_chain_leaf(*busy_link_leaf(kMaxLinkUsers)).has_value());
+  ASSERT_FALSE(read_chain_leaf(*busy_link_leaf(kMaxLinkUsers + 1)));
+  std::mt19937_64 rng2(0xC4A2);
+  std::array<u32, 4> kinds{};  // chains with each busy kind, and fallbacks
+  checked = 0;
+  while (checked < 200) {
+    std::vector<EmbeddingPtr> leaves;
+    const std::size_t m = 1 + rng2() % 3;
+    u64 nodes = 1;
+    bool too_busy = false;
+    std::array<bool, 3> has{};
+    for (std::size_t i = 0; i < m; ++i) {
+      const u32 kind = static_cast<u32>(rng2() % 4);
+      if (kind == 0) {
+        leaves.push_back(std::make_shared<RelabelEmbedding>(
+            *extra_embedding(Shape{5, 5, 5}), Shape{5, 5, 5},
+            random_axes(3, rng2)));
+      } else if (kind == 1) {
+        SmallVec<u64, 4> ext = searched[rng2() % searched.size()].extents();
+        if (ext.size() == 2) ext.push_back(1);
+        const SmallVec<u32, 4> order = random_axes(3, rng2);
+        SmallVec<u64, 4> permuted(3, 0);
+        for (u32 a = 0; a < 3; ++a) permuted[order[a]] = ext[a];
+        const Shape shape{permuted};
+        auto emb = std::make_shared<ExplicitEmbedding>(
+            Mesh(shape), shape.minimal_cube_dim(), *search_table_map(shape));
+        if (rng2() % 2)
+          route_balanced(*emb);
+        else
+          route_minimize_congestion(*emb);
+        leaves.push_back(std::move(emb));
+      } else if (kind == 2) {
+        const bool over = rng2() % 2;
+        too_busy |= over;
+        leaves.push_back(busy_link_leaf(kMaxLinkUsers + over));
+      } else {
+        SmallVec<u64, 4> ext;
+        for (u32 a = 0; a < 3; ++a) ext.push_back(1 + rng2() % 4);
+        leaves.push_back(std::make_shared<GrayEmbedding>(Mesh(Shape{ext})));
+      }
+      if (kind < 3) has[kind] = true;
+      nodes *= leaves.back()->guest().num_nodes();
+    }
+    if (nodes > 20000) continue;
+    EmbeddingPtr top = random_tree(leaves, 0, m, rng2);
+    if (rng2() % 2) {
+      SmallVec<u64, 4> box = top->guest().shape().extents();
+      for (u64& e : box) e = 1 + rng2() % e;
+      top = std::make_shared<SubmeshEmbedding>(top, Shape{box});
+    }
+    const bool lone =
+        m == 1 && !dynamic_cast<const GrayEmbedding*>(leaves[0].get());
+    const std::string what = "busy chain " + std::to_string(checked) + " " +
+                             top->guest().shape().to_string();
+    bool composed = false;
+    const VerifyReport r = certify(*top, &composed);
+    EXPECT_EQ(composed, !lone && !too_busy) << what;
+    expect_same_report(r, verify(*top), what);
+    compare(r, reference_verify(*top, nullptr), what);
+    for (u32 k = 0; k < 3; ++k) kinds[k] += has[k] && !lone;
+    kinds[3] += too_busy && !lone;
+    ++checked;
+  }
+  std::printf("busy chains: %u over 5x5x5, %u over search maps, %u over "
+              "busy links, %u of them past the bound\n",
+              kinds[0], kinds[1], kinds[2], kinds[3]);
+  for (const u32 n : kinds) EXPECT_GT(n, 10u);
   // A many-to-one leaf is verify()'s too, composed nowhere.
   const EmbeddingPtr gray = std::make_shared<GrayEmbedding>(Mesh(Shape{2, 2}));
   const EmbeddingPtr contracted = std::make_shared<m2o::ContractionEmbedding>(
@@ -1016,6 +1122,93 @@ TEST(ReferenceVerify, ComposedCertificatesOfRandomChains) {
   EXPECT_FALSE(composed);
   expect_same_report(r, verify(*product), "product over a contraction");
   EXPECT_EQ(r.load_factor, 3u);
+}
+
+/// Every injective map of `r` base axes into `k` target axes.
+void axis_maps(u32 r, u32 k, SmallVec<u32, 4>& cur,
+               std::vector<SmallVec<u32, 4>>& out) {
+  if (cur.size() == r) {
+    out.push_back(cur);
+    return;
+  }
+  for (u32 t = 0; t < k; ++t) {
+    if (std::find(cur.begin(), cur.end(), t) != cur.end()) continue;
+    cur.push_back(t);
+    axis_maps(r, k, cur, out);
+    cur.pop_back();
+  }
+}
+
+/// The leaf certify() folds for `emb` is stored, and equals a fresh read
+/// of `emb` in every edge (coordinate, axis and path length) and in every
+/// link's users, links in key order.
+void expect_stored_leaf(const Embedding& emb, const std::string& what) {
+  ChainLeaf scratch;
+  const ChainLeaf* stored = stored_chain_leaf(emb, scratch);
+  ASSERT_NE(stored, nullptr) << what;
+  const std::optional<ChainLeaf> fresh = read_chain_leaf(emb);
+  ASSERT_TRUE(fresh.has_value()) << what;
+  EXPECT_TRUE(*stored == *fresh) << what;
+  EXPECT_EQ(stored->edges.size(), emb.guest().num_edges()) << what;
+}
+
+TEST(ReferenceVerify, StoredTableLeavesMatchAFreshRead) {
+  // certify() folds a paper or extra table, and any relabel of one, from
+  // the leaf read once when the table was built. Under every map of its
+  // axes into up to four (the length-1 axes the planner inserts), and as
+  // direct_embedding()/extra_embedding() hand it out, that leaf must
+  // equal a fresh read, and verify() must agree with the reference.
+  u32 checked = 0;
+  for (const bool extra : {false, true}) {
+    const auto table_of = [&](const Shape& s) {
+      return *(extra ? extra_embedding(s) : direct_embedding(s));
+    };
+    for (const Shape& s :
+         extra ? extra_table_shapes() : direct_table_shapes()) {
+      const EmbeddingPtr table = table_of(s);
+      ASSERT_NE(table_leaf(*table), nullptr) << s.to_string();
+      ChainLeaf scratch;
+      EXPECT_EQ(stored_chain_leaf(*table, scratch), table_leaf(*table));
+      expect_stored_leaf(*table, s.to_string());
+      compare(verify(*table), reference_verify(*table, nullptr),
+              s.to_string());
+      for (u32 k = s.dims(); k <= 4; ++k) {
+        std::vector<SmallVec<u32, 4>> maps;
+        SmallVec<u32, 4> cur;
+        axis_maps(s.dims(), k, cur, maps);
+        for (const SmallVec<u32, 4>& axes : maps) {
+          SmallVec<u64, 4> ext(k, 1);
+          for (u32 i = 0; i < s.dims(); ++i) ext[axes[i]] = s[i];
+          const Shape target{ext};
+          const std::string what = s.to_string() + " as " + target.to_string();
+          const auto relabel =
+              std::make_shared<RelabelEmbedding>(table, target, axes);
+          expect_stored_leaf(*relabel, what);
+          compare(verify(*relabel), reference_verify(*relabel, nullptr),
+                  what);
+          expect_stored_leaf(*table_of(target), what + " (as handed out)");
+          ++checked;
+        }
+      }
+    }
+  }
+  std::printf("stored leaves: %u relabels checked\n", checked);
+  EXPECT_EQ(checked, 170u);
+  // A relabel of a relabel reads through both; a copy of a table, or a
+  // routed search map, is not a table and stores nothing.
+  const auto once = RelabelEmbedding::onto(*direct_embedding(Shape{3, 5}),
+                                           Shape{5, 1, 3});
+  expect_stored_leaf(*RelabelEmbedding::onto(once, Shape{1, 3, 1, 5}),
+                     "relabel of a relabel");
+  ChainLeaf scratch;
+  EXPECT_EQ(stored_chain_leaf(*ExplicitEmbedding::copy_of(
+                                  **direct_embedding(Shape{3, 5})),
+                              scratch),
+            nullptr);
+  auto searched = std::make_shared<ExplicitEmbedding>(
+      Mesh(Shape{5, 5, 5}), 7, *search_table_map(Shape{5, 5, 5}));
+  route_minimize_congestion(*searched);
+  EXPECT_EQ(stored_chain_leaf(*searched, scratch), nullptr);
 }
 
 // --- Node-map mutants ------------------------------------------------------

@@ -5,7 +5,9 @@
 # relabelled table cores, non-default objectives, and shapes whose search
 # the planner's cube bounds cut short (the factorization cut fires on
 # 3x3x23, 5x9x13 and 6x6x10 under congestion, the extension cut on 17x19
-# and 11x21). Every line is deterministic, so the output is a golden of
+# and 11x21), and chains whose outermost leaf is a congestion-3 search
+# map or a relabelled table, whole and under partial boxes (5x5x10,
+# 5x5x19, 9x5x10, 9x10x10). Every line is deterministic, so the output is a golden of
 # the plan strings and of every verify() report field printed.
 #
 #   tools/plan_certificates.sh build/examples/hj_embed \
@@ -63,4 +65,8 @@ done <<'SHAPES'
 6 6 10 --objective=congestion
 17 19
 11 21
+5 5 10
+5 5 19
+9 5 10
+9 10 10
 SHAPES
