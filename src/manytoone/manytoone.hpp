@@ -2,22 +2,25 @@
 //
 // When the mesh outgrows the machine, several mesh nodes share a cube node
 // and the quality measure becomes the *load factor* (Definition 5). The
-// paper's toolkit:
+// paper's toolkit, each step built from the one-to-one machinery:
 //
 //   Theorem 4    the product of many-to-one embeddings multiplies load
 //                factors, keeps dilation max(d1, d2), and bounds the
-//                congestion by max(f1 c2, f2 c1). (The library's
-//                MeshProductEmbedding already implements the construction;
-//                it simply stops being injective.)
+//                congestion by max(f1 c2, f2 c1). MeshProductEmbedding is
+//                the construction; it simply stops being injective.
 //   Lemma 5      contraction: an (l1 l1') x ... x (lk lk') mesh rides on an
 //                embedding of the l1 x ... x lk mesh with load factor
 //                f * prod l'_i, unchanged dilation, and congestion
-//                c_i * prod(l'_j) / l'_i on axis i.
+//                c_i * prod(l'_j) / l'_i on axis i. It is Theorem 4 with an
+//                inner factor that maps the l1' x ... x lk' mesh onto the
+//                one node of Q0 (contract()).
 //   Corollary 4  Gray code + contraction embeds an l1 2^n1 x ... mesh with
 //                dilation one and optimal load factor.
 //   Corollary 5  any mesh embeds into any n-cube with dilation one and
 //                load factor within 2x of optimal, by extending axes to
-//                l'_i 2^n_i and folding surplus cube dimensions away.
+//                l'_i 2^n_i and folding surplus cube dimensions away. The
+//                fold quotients the cube by its high address bits: a
+//                SubcubeEmbedding that pins no bit.
 #pragma once
 
 #include <string>
@@ -30,53 +33,44 @@ namespace hj::m2o {
 
 /// Lemma 5: contract blocks of `factors[i]` consecutive nodes per axis i
 /// onto one node of the base embedding's guest. Guest shape =
-/// base guest shape * factors (elementwise). Intra-block edges collapse to
-/// zero-length paths; block-boundary edges ride the base paths.
-class ContractionEmbedding final : public Embedding {
+/// base guest shape * factors (elementwise). It is the Theorem 4 product
+/// whose inner factor maps the `factors` mesh onto the one node of Q0, so
+/// intra-block edges collapse to one-node paths and block-boundary edges
+/// ride the base paths.
+[[nodiscard]] EmbeddingPtr contract(EmbeddingPtr base, const Shape& factors);
+
+/// Places an embedding into Q_{host_dim} by pinning the address bits in
+/// `fixed_mask` to `fixed_value` and spreading the base host's bits over
+/// the free positions: the image lives entirely inside one sub-cube. A
+/// base cube larger than the free bits is folded first (Corollary 5): its
+/// surplus high address bits are dropped, so hops along them collapse, and
+/// folding to Q_n is the placement that pins no bit. Dilation never grows;
+/// without a fold, dilation, congestion and load factor are the base's.
+class SubcubeEmbedding final : public Embedding {
  public:
-  ContractionEmbedding(EmbeddingPtr base, Shape factors);
+  SubcubeEmbedding(EmbeddingPtr base, u32 host_dim, u64 fixed_mask,
+                   u64 fixed_value);
 
   [[nodiscard]] CubeNode map(MeshIndex idx) const override;
   [[nodiscard]] CubePath edge_path(const MeshEdge& e) const override;
   void map_all(std::vector<CubeNode>& out) const override;
+  /// Injective iff the base is and nothing is folded away.
   [[nodiscard]] bool one_to_one() const noexcept override {
-    return factors_.num_nodes() == 1 && base_->one_to_one();
+    return base_->one_to_one() && base_->host_dim() == free_bits_;
   }
-  /// A block-boundary edge rides its base edge's path, an intra-block
-  /// edge collapses to one node: unit base paths stay unit.
-  [[nodiscard]] bool unit_paths() const noexcept override {
-    return base_->unit_paths();
-  }
-
-  [[nodiscard]] const Shape& factors() const noexcept { return factors_; }
-
- private:
-  [[nodiscard]] MeshIndex block_of(MeshIndex idx) const;
-
-  EmbeddingPtr base_;
-  Shape factors_;
-};
-
-/// Corollary 5's folding step: quotient the host cube by its high address
-/// bits. Edges along folded dimensions collapse; dilation never grows.
-class CubeFoldEmbedding final : public Embedding {
- public:
-  CubeFoldEmbedding(EmbeddingPtr base, u32 folded_dim);
-
-  [[nodiscard]] CubeNode map(MeshIndex idx) const override;
-  [[nodiscard]] CubePath edge_path(const MeshEdge& e) const override;
-  void map_all(std::vector<CubeNode>& out) const override;
-  [[nodiscard]] bool one_to_one() const noexcept override {
-    return base_->host_dim() == host_dim() && base_->one_to_one();
-  }
-  /// Folding a one-hop path leaves one hop or one node.
+  /// expand() maps cube neighbours to cube neighbours or, across a folded
+  /// dimension, to one node.
   [[nodiscard]] bool unit_paths() const noexcept override {
     return base_->unit_paths();
   }
 
  private:
+  [[nodiscard]] CubeNode expand(CubeNode v) const noexcept;
+
   EmbeddingPtr base_;
-  CubeNode mask_;
+  u32 free_bits_;
+  u64 fixed_mask_;
+  u64 fixed_value_;
 };
 
 /// Corollary 4: Gray code on the power-of-two parts plus contraction of
@@ -108,34 +102,6 @@ struct ContractPlan {
 [[nodiscard]] bool corollary5_condition(const Shape& shape, u32 n);
 
 // --- Fault-tolerant degradation (the last rung of the planner ladder). ---
-
-/// Places an embedding into Q_{host_dim} by pinning the address bits in
-/// `fixed_mask` to `fixed_value` and spreading the base host's bits over
-/// the free positions: the image lives entirely inside one sub-cube.
-/// Dilation, congestion and load factor are those of the base embedding.
-class SubcubeEmbedding final : public Embedding {
- public:
-  SubcubeEmbedding(EmbeddingPtr base, u32 host_dim, u64 fixed_mask,
-                   u64 fixed_value);
-
-  [[nodiscard]] CubeNode map(MeshIndex idx) const override;
-  [[nodiscard]] CubePath edge_path(const MeshEdge& e) const override;
-  void map_all(std::vector<CubeNode>& out) const override;
-  [[nodiscard]] bool one_to_one() const noexcept override {
-    return base_->host_dim() == host_dim() && base_->one_to_one();
-  }
-  /// expand() maps cube neighbours to cube neighbours.
-  [[nodiscard]] bool unit_paths() const noexcept override {
-    return base_->unit_paths();
-  }
-
- private:
-  [[nodiscard]] CubeNode expand(CubeNode v) const noexcept;
-
-  EmbeddingPtr base_;
-  u64 fixed_mask_;
-  u64 fixed_value_;
-};
 
 /// Degrade provider for Planner::plan_avoiding: when no one-to-one remap
 /// dodges the fault set, find a fault-free sub-cube of Q_n (fixing up to

@@ -151,11 +151,11 @@ TEST_F(EdgePathWalk, AgreesWithEdgePathForEverySubclass) {
     expect_walk_agrees(RelabelEmbedding(sm, Shape{rev_ext}, rev),
                        tag + " relabel of submesh");
 
-    // Many-to-one embeddings keep the default walk.
-    expect_walk_agrees(m2o::ContractionEmbedding(p, shape(k, 4)),
-                       tag + " contraction");
+    // A contraction walks as the product it is; a fold or a placement
+    // keeps the default walk.
+    expect_walk_agrees(*m2o::contract(p, shape(k, 4)), tag + " contraction");
     const u32 folded = static_cast<u32>(rng_() % (p->host_dim() + 1));
-    expect_walk_agrees(m2o::CubeFoldEmbedding(p, folded), tag + " fold");
+    expect_walk_agrees(m2o::SubcubeEmbedding(p, folded, 0, 0), tag + " fold");
     const u32 pinned = 1 + static_cast<u32>(rng_() % 3);
     const u32 host = p->host_dim() + pinned;
     u64 mask = 0;
@@ -207,7 +207,8 @@ TEST_F(EdgePathWalk, WholeWalkCarriesTrueCoordinates) {
         {std::make_shared<RelabelEmbedding>(
              b2, Shape{s2[1], 1, s2[0]}, SmallVec<u32, 4>{2, 0}),
          "relabel"},
-        {std::make_shared<m2o::ContractionEmbedding>(base(k), shape(k, 3)),
+        {m2o::contract(base(k), shape(k, 3)), "contraction"},
+        {std::make_shared<m2o::SubcubeEmbedding>(base(k), 0, 0, 0),
          "default walk"}};
     for (const auto& [emb, what] : embs) {
       const Shape& s = emb->guest().shape();

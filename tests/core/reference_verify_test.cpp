@@ -708,8 +708,10 @@ TEST(ReferenceVerify, AgreesOnThePropertyShapes) {
 }
 
 TEST(ReferenceVerify, AgreesOnManyToOnePlans) {
-  // Contraction, cube folds and sub-cube placements, over unit-path Gray
-  // bases (the unit scan) and dilation-2 planned bases (the edge walk).
+  // Contraction, cube folds and sub-cube placements of a contraction,
+  // over unit-path Gray bases (the unit scan) and dilation-2 planned bases
+  // (the edge walk). Placing the one-to-one base itself keeps it
+  // one-to-one; that placement is checked beside the 43.
   Planner planner;
   u32 checked = 0;
   for (const Shape& s : {Shape{3, 5}, Shape{7, 9}, Shape{3, 3, 7},
@@ -723,17 +725,22 @@ TEST(ReferenceVerify, AgreesOnManyToOnePlans) {
       SmallVec<u64, 4> f(s.dims(), 1);
       f[0] = 2;
       f[s.dims() - 1] *= 3;
+      const EmbeddingPtr contracted = m2o::contract(base, Shape{f});
       const std::vector<EmbeddingPtr> m2o = {
-          std::make_shared<m2o::ContractionEmbedding>(base, Shape{f}),
-          std::make_shared<m2o::CubeFoldEmbedding>(base, n - 2),
-          std::make_shared<m2o::CubeFoldEmbedding>(base, 0),
-          std::make_shared<m2o::SubcubeEmbedding>(base, n + 2, u64{3} << n,
-                                                  u64{1} << n)};
+          contracted,
+          std::make_shared<m2o::SubcubeEmbedding>(base, n - 2, 0, 0),
+          std::make_shared<m2o::SubcubeEmbedding>(base, 0, 0, 0),
+          std::make_shared<m2o::SubcubeEmbedding>(contracted, n + 2,
+                                                  u64{3} << n, u64{1} << n)};
       for (const EmbeddingPtr& e : m2o) {
         ASSERT_FALSE(e->one_to_one()) << what;
         expect_agrees(*e, what + " " + std::to_string(checked));
         ++checked;
       }
+      const m2o::SubcubeEmbedding placed(base, n + 2, u64{3} << n,
+                                         u64{1} << n);
+      EXPECT_TRUE(placed.one_to_one()) << what;
+      expect_agrees(placed, what + " placed");
     }
   }
   for (const auto& [s, n] : {std::pair{Shape{19, 19}, 5u},
@@ -744,6 +751,19 @@ TEST(ReferenceVerify, AgreesOnManyToOnePlans) {
     ++checked;
   }
   EXPECT_EQ(checked, 43u);
+}
+
+TEST(ReferenceVerify, PlacedTableIsOneToOne) {
+  // A placement pins address bits and folds nothing: the placed 3x3x3
+  // table stays injective, so verify() checks its injectivity and reads
+  // the one-to-one bounds, as the reference checker does.
+  const auto direct = direct_embedding(Shape{3, 3, 3});
+  ASSERT_TRUE(direct.has_value());
+  const m2o::SubcubeEmbedding sub(*direct, 6, /*mask=*/0x8, /*value=*/0x8);
+  EXPECT_TRUE(sub.one_to_one());
+  expect_agrees(sub, "3x3x3 placed in Q6");
+  EXPECT_EQ(verify(sub).bounds,
+            cost::lower_bounds(sub.guest(), 6, /*one_to_one=*/true));
 }
 
 // --- The repair kernel ------------------------------------------------------
@@ -1114,8 +1134,8 @@ TEST(ReferenceVerify, ComposedCertificatesOfRandomChains) {
   for (const u32 n : kinds) EXPECT_GT(n, 10u);
   // A many-to-one leaf is verify()'s too, composed nowhere.
   const EmbeddingPtr gray = std::make_shared<GrayEmbedding>(Mesh(Shape{2, 2}));
-  const EmbeddingPtr contracted = std::make_shared<m2o::ContractionEmbedding>(
-      *direct_embedding(Shape{7, 9}), Shape{1, 3});
+  const EmbeddingPtr contracted =
+      m2o::contract(*direct_embedding(Shape{7, 9}), Shape{1, 3});
   const EmbeddingPtr product = product_chain({gray, contracted});
   bool composed = true;
   const VerifyReport r = certify(*product, &composed);

@@ -505,8 +505,16 @@ TEST(Subcube, PlacesBaseInsideFixedBits) {
     EXPECT_EQ(sub.map(i) & 0x8u, 0x8u);
   EXPECT_THROW(m2o::SubcubeEmbedding(*direct, 6, 0x1, 0x2),
                std::invalid_argument);
-  EXPECT_THROW(m2o::SubcubeEmbedding(*direct, 5, 0x1, 0x1),
-               std::invalid_argument);  // base Q5 does not fit Q4 sub-cube
+  // A base Q5 in a Q4 sub-cube folds: its top address bit is dropped
+  // before the free bits are spread around the pinned one.
+  const m2o::SubcubeEmbedding folded(*direct, 5, 0x1, 0x1);
+  EXPECT_FALSE(folded.one_to_one());
+  for (MeshIndex i = 0; i < folded.guest().num_nodes(); ++i)
+    EXPECT_EQ(folded.map(i), (((*direct)->map(i) & 0xFu) << 1) | 0x1u);
+  EXPECT_TRUE(verify(folded).valid);
+  // A base smaller than its sub-cube does not fill it.
+  EXPECT_THROW(m2o::SubcubeEmbedding(*direct, 7, 0x1, 0x1),
+               std::invalid_argument);
 }
 
 }  // namespace

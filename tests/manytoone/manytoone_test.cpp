@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "core/direct.hpp"
 #include "core/fault.hpp"
 #include "core/product.hpp"
+#include "../core/plan_digest.hpp"
 
 namespace hj::m2o {
 namespace {
@@ -20,29 +25,29 @@ EmbeddingPtr gray_of(Shape s) {
 TEST(Contraction, LoadFactorIsProductOfFactors) {
   // Lemma 5 with f = 1: contract a 12x6 mesh onto a 4x3 Gray embedding
   // with factors 3x2 -> load factor 6.
-  ContractionEmbedding emb(gray_of(Shape{4, 3}), Shape{3, 2});
-  EXPECT_EQ(emb.guest().shape(), (Shape{12, 6}));
-  VerifyReport r = verify(emb);
+  const EmbeddingPtr emb = contract(gray_of(Shape{4, 3}), Shape{3, 2});
+  EXPECT_EQ(emb->guest().shape(), (Shape{12, 6}));
+  VerifyReport r = verify(*emb);
   EXPECT_TRUE(r.valid);
   EXPECT_EQ(r.load_factor, 6u);
   EXPECT_EQ(r.dilation, 1u);  // dilation of the base is preserved
 }
 
 TEST(Contraction, IntraBlockEdgesCollapse) {
-  ContractionEmbedding emb(gray_of(Shape{4}), Shape{3});
+  const EmbeddingPtr emb = contract(gray_of(Shape{4}), Shape{3});
   // Guest is a 12-line; edges within a block of 3 have zero-length paths.
-  const CubePath p = emb.edge_path(MeshEdge{0, 1, 0, false});
+  const CubePath p = emb->edge_path(MeshEdge{0, 1, 0, false});
   EXPECT_EQ(p.size(), 1u);
   // Block-boundary edge (2,3) rides the base edge.
-  const CubePath q = emb.edge_path(MeshEdge{2, 3, 0, false});
+  const CubePath q = emb->edge_path(MeshEdge{2, 3, 0, false});
   EXPECT_EQ(q.size(), 2u);
 }
 
 TEST(Contraction, CongestionMatchesLemma5Bound) {
   // Base: Gray 4x4 (congestion 1 per axis). Factors 3x2: congestion bound
   // on axis 1 edges: c1 * (3*2)/3 = 2; axis 2: 1 * 6/2 = 3. Overall <= 3.
-  ContractionEmbedding emb(gray_of(Shape{4, 4}), Shape{3, 2});
-  VerifyReport r = verify(emb);
+  const EmbeddingPtr emb = contract(gray_of(Shape{4, 4}), Shape{3, 2});
+  VerifyReport r = verify(*emb);
   EXPECT_TRUE(r.valid);
   EXPECT_LE(r.congestion, 3u);
   EXPECT_EQ(r.load_factor, 6u);
@@ -51,10 +56,8 @@ TEST(Contraction, CongestionMatchesLemma5Bound) {
 TEST(Contraction, TheoremFourProductOfManyToOne) {
   // Product of two many-to-one embeddings: load factors multiply,
   // dilation is the max (Theorem 4).
-  auto f1 = std::make_shared<ContractionEmbedding>(gray_of(Shape{2}),
-                                                   Shape{3});  // load 3
-  auto f2 = std::make_shared<ContractionEmbedding>(gray_of(Shape{4}),
-                                                   Shape{2});  // load 2
+  const EmbeddingPtr f1 = contract(gray_of(Shape{2}), Shape{3});  // load 3
+  const EmbeddingPtr f2 = contract(gray_of(Shape{4}), Shape{2});  // load 2
   MeshProductEmbedding prod(f1, f2);
   EXPECT_FALSE(prod.one_to_one());
   EXPECT_EQ(prod.guest().shape(), (Shape{48}));
@@ -68,7 +71,7 @@ TEST(Contraction, TheoremFourProductOfManyToOne) {
 
 TEST(Fold, QuotientsHighBits) {
   auto base = gray_of(Shape{4, 4});  // Q4
-  CubeFoldEmbedding folded(base, 2);
+  const SubcubeEmbedding folded(base, 2, 0, 0);
   EXPECT_EQ(folded.host_dim(), 2u);
   VerifyReport r = verify(folded);
   EXPECT_TRUE(r.valid);
@@ -77,7 +80,7 @@ TEST(Fold, QuotientsHighBits) {
 }
 
 TEST(Fold, FullFoldCollapsesEverything) {
-  CubeFoldEmbedding folded(gray_of(Shape{4, 4}), 0);
+  const SubcubeEmbedding folded(gray_of(Shape{4, 4}), 0, 0, 0);
   VerifyReport r = verify(folded);
   EXPECT_TRUE(r.valid);
   EXPECT_EQ(r.load_factor, 16u);
@@ -85,7 +88,7 @@ TEST(Fold, FullFoldCollapsesEverything) {
 }
 
 TEST(Fold, RejectsEnlarging) {
-  EXPECT_THROW(CubeFoldEmbedding(gray_of(Shape{4}), 5),
+  EXPECT_THROW(SubcubeEmbedding(gray_of(Shape{4}), 5, 0, 0),
                std::invalid_argument);
 }
 
@@ -249,13 +252,13 @@ TEST(UnitPaths, GrayContractionChainsClaimUnitPaths) {
   // contraction, the fold and the sub-cube placement.
   const EmbeddingPtr chain = gray_contraction(Shape{3, 5}, Shape{4, 2});
   EXPECT_TRUE(chain->unit_paths());
-  const auto folded = std::make_shared<CubeFoldEmbedding>(chain, 2);
+  const auto folded = std::make_shared<SubcubeEmbedding>(chain, 2, 0, 0);
   EXPECT_TRUE(folded->unit_paths());
   EXPECT_TRUE(SubcubeEmbedding(folded, 4, 0x5, 0x1).unit_paths());
   // A base without the contract passes that on.
   auto table = direct_embedding(Shape{3, 5});
   ASSERT_TRUE(table.has_value());
-  EXPECT_FALSE(ContractionEmbedding(*table, Shape{2, 2}).unit_paths());
+  EXPECT_FALSE(contract(*table, Shape{2, 2})->unit_paths());
 }
 
 TEST(UnitPaths, ContractSweepMatchesGenericVerify) {
@@ -300,6 +303,102 @@ TEST(UnitPaths, DegradeProviderOutputsMatchGenericVerify) {
   std::printf("degrade oracle: %u placements, %u on the storm bases\n",
               placed, placed_storm);
   EXPECT_EQ(placed_storm, 12u);  // every seed places on both
+}
+
+// --- Pinned outputs ----------------------------------------------------------
+
+/// A placement of `base` into Q_n with `mask` pinned to `value`, folding
+/// the base's surplus bits first.
+EmbeddingPtr place(EmbeddingPtr base, u32 n, u64 mask, u64 value) {
+  return std::make_shared<SubcubeEmbedding>(std::move(base), n, mask, value);
+}
+
+/// Adds everything a many-to-one plan shows its readers: the node map,
+/// every edge path in for_each_edge order, the walk's (edge, path) pairs
+/// in slot order, the plan string and the whole certificate.
+void add_plan(PlanDigest& d, const Embedding& emb, const std::string& plan,
+              const VerifyReport& report) {
+  std::vector<CubeNode> nodes;
+  emb.map_all(nodes);
+  for (const CubeNode v : nodes) d.add(v);
+  const auto add_path = [&](const MeshEdge& e, const CubePath& p) {
+    d.add(e.a);
+    d.add(e.b);
+    d.add(u64{e.axis});
+    d.add(p.size());
+    for (const CubeNode v : p) d.add(v);
+  };
+  emb.guest().for_each_edge(
+      [&](const MeshEdge& e) { add_path(e, emb.edge_path(e)); });
+  const u64 n = emb.guest().num_nodes();
+  std::vector<std::pair<u64, std::pair<MeshEdge, CubePath>>> walked;
+  emb.walk_edge_paths([&](const MeshEdge& e, const Coord&, const CubePath& p) {
+    walked.push_back({e.axis * n + e.a, {e, p}});
+  });
+  std::sort(walked.begin(), walked.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+  for (const auto& [slot, w] : walked) add_path(w.first, w.second);
+  d.add(plan);
+  d.report(report);
+}
+
+TEST(ManyToOne, PlanDigestIsPinned) {
+  // Section 7's constructions may change form but not output: pin node
+  // maps, paths, walks, plan strings and certificates of contract_to_cube
+  // plans, of the degrade provider's placements on the storm bases under
+  // seeded node faults, and of contractions, folds and placements over
+  // planned and Gray bases.
+  PlanDigest d;
+  for (const auto& [s, n] :
+       {std::pair{Shape{19, 19}, 5u}, std::pair{Shape{6, 10, 12}, 6u},
+        std::pair{Shape{8, 8}, 4u}, std::pair{Shape{8, 4}, 5u},
+        std::pair{Shape{4, 8}, 3u}, std::pair{Shape{7}, 2u},
+        std::pair{Shape{100}, 4u}, std::pair{Shape{9, 9, 9}, 6u},
+        std::pair{Shape{33, 65}, 8u}, std::pair{Shape{5, 6, 7}, 4u},
+        std::pair{Shape{127, 3}, 7u}, std::pair{Shape{3, 3, 5}, 3u},
+        std::pair{Shape{11, 13, 23}, 10u}}) {
+    const ContractPlan c = contract_to_cube(s, n);
+    add_plan(d, *c.embedding, c.plan, c.report);
+    d.add(c.optimal_load);
+  }
+  const DegradeProvider provider = make_degrade_provider();
+  u32 placed = 0;
+  for (const auto& [s, n] :
+       {std::pair{Shape{11, 13, 23}, 12u}, std::pair{Shape{13, 25, 41}, 14u},
+        std::pair{Shape{7, 9, 15}, 10u}})
+    for (u64 seed = 1; seed <= 20; ++seed) {
+      std::mt19937_64 rng(seed);
+      FaultSet faults;
+      for (int i = 0; i < 3; ++i) faults.fail_node(rng() % (u64{1} << n));
+      const auto degraded = provider(s, n, faults);
+      d.add(u64{degraded.has_value()});
+      if (!degraded) continue;
+      ++placed;
+      add_plan(d, *degraded->embedding, degraded->plan,
+               verify(*degraded->embedding, faults));
+    }
+  Planner planner;
+  for (const Shape& s : {Shape{3, 5}, Shape{7, 9}, Shape{3, 3, 7},
+                         Shape{5, 6, 7}, Shape{4, 4}}) {
+    const EmbeddingPtr planned = planner.plan(s).embedding;
+    const EmbeddingPtr gray = gray_of(s);
+    for (const EmbeddingPtr& base : {planned, gray}) {
+      const u32 n = base->host_dim();
+      SmallVec<u64, 4> f(s.dims(), 1);
+      f[0] = 2;
+      f[s.dims() - 1] *= 3;
+      const EmbeddingPtr contracted = contract(base, Shape{f});
+      for (const EmbeddingPtr& e :
+           {contracted, place(base, n - 2, 0, 0), place(base, 0, 0, 0),
+            place(contracted, n + 2, u64{3} << n, u64{1} << n),
+            place(base, n, u64{5} << (n - 3), u64{4} << (n - 3))})
+        add_plan(d, *e, "", verify(*e));
+    }
+  }
+  std::printf("many-to-one digest: 0x%016llx, %u placements\n",
+              static_cast<unsigned long long>(d.h), placed);
+  EXPECT_EQ(placed, 60u);
+  EXPECT_EQ(d.h, 0x52ced81296502fb5ull);
 }
 
 }  // namespace

@@ -96,16 +96,15 @@ TEST_F(MapAll, AgreesWithMapForEverySubclass) {
 
     // Contraction over any base, including a submesh and a product.
     const Shape factors = shape(k, 4);
-    const ContractionEmbedding c(b, factors);
-    expect_map_all_agrees(c, tag + " contraction " + factors.to_string());
+    expect_map_all_agrees(*contract(b, factors),
+                          tag + " contraction " + factors.to_string());
     expect_map_all_agrees(
-        ContractionEmbedding(std::make_shared<SubmeshEmbedding>(b, Shape{sub}),
-                             factors),
+        *contract(std::make_shared<SubmeshEmbedding>(b, Shape{sub}), factors),
         tag + " contraction of submesh");
 
     // Cube fold onto any smaller cube.
     const u32 folded = static_cast<u32>(rng_() % (p->host_dim() + 1));
-    expect_map_all_agrees(CubeFoldEmbedding(p, folded),
+    expect_map_all_agrees(SubcubeEmbedding(p, folded, 0, 0),
                           tag + " fold to Q" + std::to_string(folded));
 
     // Subcube: pin 1-3 random bits of a larger host.

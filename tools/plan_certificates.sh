@@ -7,8 +7,11 @@
 # 3x3x23, 5x9x13 and 6x6x10 under congestion, the extension cut on 17x19
 # and 11x21), and chains whose outermost leaf is a congestion-3 search
 # map or a relabelled table, whole and under partial boxes (5x5x10,
-# 5x5x19, 9x5x10, 9x10x10). Every line is deterministic, so the output is a golden of
-# the plan strings and of every verify() report field printed.
+# 5x5x19, 9x5x10, 9x10x10). It then prints the many-to-one certificate
+# (`hj_embed contract`: Corollary 5's contraction, folded where the cube
+# is smaller than the contracted mesh) for a few (cube, shape) pairs.
+# Every line is deterministic, so the output is a golden of the plan
+# strings and of every verify() report field printed.
 #
 #   tools/plan_certificates.sh build/examples/hj_embed \
 #     | cmp - bench/golden/hj_plan_certificates.txt
@@ -70,3 +73,15 @@ done <<'SHAPES'
 9 5 10
 9 10 10
 SHAPES
+while read -r args; do
+  echo "== contract $args"
+  # shellcheck disable=SC2086
+  "$hj_embed" contract $args
+done <<'CONTRACTS'
+5 19 19
+4 8 8
+6 6 10 12
+9 7 9 15
+10 13 25 41
+3 3 5
+CONTRACTS
