@@ -27,17 +27,17 @@ const TableEntry kExtraTables[] = {
 };
 
 /// A family of tables, their embeddings built and congestion-routed once,
-/// each with its chain leaf (core/certify.hpp) when `leaves` is set.
+/// each with its chain leaf (core/certify.hpp).
 class TableSet {
  public:
-  TableSet(std::span<const TableEntry> tables, bool leaves) {
+  explicit TableSet(std::span<const TableEntry> tables) {
     for (const TableEntry& t : tables) {
       shapes_.push_back(t.shape);
       auto emb = std::make_shared<ExplicitEmbedding>(
           Mesh(t.shape), t.cube_dim,
           std::vector<CubeNode>(t.map.begin(), t.map.end()));
       route_minimize_congestion(*emb);
-      leaves_.push_back(leaves ? read_chain_leaf(*emb) : std::nullopt);
+      leaves_.push_back(read_chain_leaf(*emb));
       built_.push_back(std::move(emb));
     }
   }
@@ -72,18 +72,12 @@ class TableSet {
 };
 
 const TableSet& paper_tables() {
-  static const TableSet t(kDirectTables, true);
+  static const TableSet t(kDirectTables);
   return t;
 }
 
 const TableSet& extra_tables() {
-  static const TableSet t(kExtraTables, true);
-  return t;
-}
-
-// A search table is only ever read as a node map.
-const TableSet& search_tables() {
-  static const TableSet t(kSearchTables, false);
+  static const TableSet t(kExtraTables);
   return t;
 }
 
@@ -97,10 +91,6 @@ bool has_shape(std::span<const TableEntry> tables, const Shape& shape) {
 
 const std::vector<Shape>& direct_table_shapes() {
   return paper_tables().shapes();
-}
-
-bool has_direct_embedding(const Shape& shape) {
-  return direct_embedding(shape).has_value();
 }
 
 std::optional<EmbeddingPtr> direct_embedding(const Shape& shape) {
@@ -125,15 +115,29 @@ const ChainLeaf* table_leaf(const Embedding& emb) {
 }
 
 const std::vector<Shape>& search_table_shapes() {
-  return search_tables().shapes();
+  static const std::vector<Shape> shapes = [] {
+    std::vector<Shape> out;
+    for (const TableEntry& t : kSearchTables) out.push_back(t.shape);
+    return out;
+  }();
+  return shapes;
 }
 
 std::optional<std::vector<CubeNode>> search_table_map(const Shape& shape) {
-  const std::optional<EmbeddingPtr> emb = search_tables().find(shape);
-  if (!emb) return std::nullopt;
-  std::vector<CubeNode> map;
-  (*emb)->map_all(map);
-  return map;
+  const Shape key = shape.squeezed().sorted();
+  for (const TableEntry& t : kSearchTables) {
+    if (!(t.shape == key)) continue;
+    std::vector<CubeNode> map(t.map.begin(), t.map.end());
+    if (shape == key) return map;
+    // Permute the committed map into `shape`'s axis order, as the
+    // relabel of a table embedding onto `shape` would.
+    RelabelEmbedding::onto(std::make_shared<ExplicitEmbedding>(
+                               Mesh(key), t.cube_dim, std::move(map)),
+                           shape)
+        ->map_all(map);
+    return map;
+  }
+  return std::nullopt;
 }
 
 }  // namespace hj

@@ -557,11 +557,6 @@ PlanResult Planner::plan_avoiding(const Shape& shape, const FaultSet& faults) {
   return {};  // unreachable
 }
 
-bool Planner::achieves_minimal_dil2(const Shape& shape) {
-  Entry e = best(shape, kExtendTopLevel);
-  return e.cube == shape.minimal_cube_dim() && e.dil <= 2;
-}
-
 PlanResult relabel_plan(const PlanResult& canon, const Shape& target) {
   const Mesh& base = canon.embedding->guest();
   if (target == base.shape()) return canon;
@@ -659,65 +654,6 @@ std::vector<PlanResult> plan_batch(const std::vector<Shape>& shapes,
           .emit();
     }
   }
-  return out;
-}
-
-std::vector<PlanResult> plan_batch(const std::vector<Shape>& shapes,
-                                   const std::vector<const FaultSet*>& faults,
-                                   const PlannerOptions& opts,
-                                   const DirectProviderFactory& provider_factory,
-                                   ShardedPlanCache* cache) {
-  require(faults.size() == shapes.size(),
-          "plan_batch: %zu fault sets for %zu shapes", faults.size(),
-          shapes.size());
-  HJ_SPAN_N("plan_batch.faulted", shapes.size());
-  ShardedPlanCache local_cache;
-  if (!cache) cache = &local_cache;
-
-  // Split the batch: unconstrained entries ride the canonical-dedup path
-  // (and may populate the shared cache); fault-constrained entries are
-  // planned one by one with plan_avoiding, which reads fault-free
-  // sub-plans from the cache but never writes its faulted results back
-  // (see the purity audit in plan_avoiding).
-  std::vector<std::size_t> faulted;
-  std::vector<Shape> free_shapes;
-  std::vector<std::size_t> free_slot;
-  for (std::size_t i = 0; i < shapes.size(); ++i) {
-    if (faults[i] && !faults[i]->empty()) {
-      faulted.push_back(i);
-    } else {
-      free_shapes.push_back(shapes[i]);
-      free_slot.push_back(i);
-    }
-  }
-
-  if (obs::enabled())
-    obs::Registry::global().counter("plan.batch.faulted").add(faulted.size());
-
-  std::vector<PlanResult> out(shapes.size());
-  std::vector<PlanResult> free_plans =
-      plan_batch(free_shapes, opts, provider_factory, cache);
-  for (std::size_t j = 0; j < free_slot.size(); ++j)
-    out[free_slot[j]] = std::move(free_plans[j]);
-
-  // Worker exceptions must not escape the parallel engine; collect the
-  // first failure per chunk and rethrow on the calling thread.
-  std::vector<std::string> errors(faulted.size());
-  par::parallel_for(0, faulted.size(), /*grain=*/1, [&](u64 lo, u64 hi) {
-    Planner planner(opts);
-    planner.set_shared_cache(cache);
-    if (provider_factory) planner.set_direct_provider(provider_factory());
-    for (u64 j = lo; j < hi; ++j) {
-      const std::size_t i = faulted[j];
-      try {
-        out[i] = planner.plan_avoiding(shapes[i], *faults[i]);
-      } catch (const std::invalid_argument& e) {
-        errors[j] = e.what();
-      }
-    }
-  });
-  for (const std::string& e : errors)
-    if (!e.empty()) throw std::invalid_argument(e);
   return out;
 }
 

@@ -149,9 +149,8 @@ struct PlanKeyHash {
 ///
 /// Purity invariant: keys carry no fault information, so ONLY fault-free
 /// canonical plans may be stored. Planner::best() is the planner's sole
-/// writer; plan_avoiding() and the fault-aware plan_batch overload treat
-/// their fault-constrained results as uncacheable (see the audit comment
-/// in planner.cpp).
+/// writer; plan_avoiding() treats its fault-constrained results as
+/// uncacheable (see the audit comment in planner.cpp).
 class ShardedPlanCache {
  public:
   [[nodiscard]] std::optional<PlanCacheEntry> get(const PlanKey& key) const;
@@ -209,9 +208,6 @@ class Planner {
   /// healthy sub-cube and no degrade provider attached).
   [[nodiscard]] PlanResult plan_avoiding(const Shape& shape,
                                          const FaultSet& faults);
-
-  /// True iff plan(shape) reaches the minimal cube with dilation <= 2.
-  [[nodiscard]] bool achieves_minimal_dil2(const Shape& shape);
 
  private:
   using Entry = PlanCacheEntry;
@@ -278,21 +274,5 @@ using DirectProviderFactory = std::function<DirectProvider()>;
 inline std::string relabel_desc(const Shape& target, const std::string& desc) {
   return "perm<" + target.to_string() + ">(" + desc + ")";
 }
-
-/// Fault-aware batch: `faults[i]` constrains shapes[i] (nullptr or an
-/// empty set means unconstrained). Fault-free entries go through the
-/// canonical-dedup path above and may be served from / inserted into the
-/// shared cache; fault-constrained entries are planned individually via
-/// plan_avoiding — they are excluded from canonical dedup (faults live
-/// in *host* space, so two axis-permuted shapes cannot share a faulted
-/// plan) and their results never touch the cache, which stays pure
-/// fault-free. Throws std::invalid_argument (after all workers finish)
-/// when some faulted entry has no avoiding plan.
-[[nodiscard]] std::vector<PlanResult> plan_batch(
-    const std::vector<Shape>& shapes,
-    const std::vector<const FaultSet*>& faults,
-    const PlannerOptions& opts = {},
-    const DirectProviderFactory& provider_factory = nullptr,
-    ShardedPlanCache* cache = nullptr);
 
 }  // namespace hj

@@ -143,8 +143,6 @@ class RecoveryController {
   /// controller that is never replenished has kBudgetCap to spend.
   void start_epoch();
 
-  /// Units currently available to spend on repair attempts.
-  [[nodiscard]] u32 budget_remaining() const noexcept { return budget_; }
   /// Consecutive repair() failures since the last certified repair (the
   /// exponent of the next attempt's charge).
   [[nodiscard]] u32 consecutive_failures() const noexcept {

@@ -176,15 +176,6 @@ RouteStats route_minimize_congestion(ExplicitEmbedding& emb, u32 max_passes) {
 
 namespace {
 
-/// splitmix64 finalizer: route_balanced's permutation stream must be a
-/// pure function of the candidate index.
-u64 mix64(u64 x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// Shortest path from a to b fixing the differing bits in increasing
 /// priority order (prio[bit] = rank; the identity ranking reproduces
 /// Hypercube::ecube_path exactly).

@@ -484,13 +484,4 @@ std::string detailed_summary(const VerifyReport& r, const Embedding& emb) {
   return out;
 }
 
-std::vector<i64> inverse_placement(const Embedding& emb) {
-  std::vector<i64> inv(u64{1} << emb.host_dim(), -1);
-  std::vector<CubeNode> nm;
-  emb.map_all(nm);
-  for (MeshIndex i = 0; i < nm.size(); ++i)
-    inv[nm[i]] = static_cast<i64>(i);
-  return inv;
-}
-
 }  // namespace hj

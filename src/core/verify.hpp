@@ -108,9 +108,4 @@ struct VerifyReport {
 /// bounds from the cost model.
 [[nodiscard]] std::string gap_summary(const VerifyReport& r);
 
-/// Inverse placement table: for every cube node, the guest index mapped
-/// there, or -1 for unused nodes. For many-to-one embeddings the last
-/// guest index (in index order) wins; use load_factor to detect sharing.
-[[nodiscard]] std::vector<i64> inverse_placement(const Embedding& emb);
-
 }  // namespace hj

@@ -29,23 +29,6 @@
 
 namespace hj::sim {
 
-/// splitmix64's finalizer: a well-mixed 64-bit hash of `x`.
-[[nodiscard]] constexpr u64 mix_bits(u64 x) noexcept {
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
-  return x;
-}
-
-/// splitmix64 of counter `x`. Fault schedules and storms hash counters
-/// with it, so each is a pure function of its seed with no hidden RNG
-/// state.
-[[nodiscard]] constexpr u64 mix64(u64 x) noexcept {
-  return mix_bits(x + 0x9e3779b97f4a7c15ull);
-}
-
 /// All of `s` as a T, strictly: no sign (for unsigned T), space or suffix,
 /// and nothing outside T's range. The fault and storm spec parsers read
 /// every number through it.

@@ -109,26 +109,26 @@ DegradedPlan build_contraction(const Shape& shape, u32 n, u64 mask = 0,
   require(n <= 63, "contract_to_cube: cube too large");
   const u32 m = n - static_cast<u32>(std::popcount(mask));
 
-  // Pick the decomposition minimizing the load factor
-  // prod(c) * 2^(sum p - m) subject to sum p >= m.
+  // Pick the decomposition with sum p == m minimizing the load factor
+  // prod(c), the first in odometer order. One with sum p > m never wins:
+  // lowering one of its p_i >= 1 by one at most doubles prod(c), so keeps
+  // the load prod(c) * 2^(sum p - m), and comes earlier.
   SmallVec<u32, 4> best;
   u64 best_load = ~u64{0};
   any_decomposition(shape, [&](const SmallVec<u32, 4>& p, u64 blocks,
                                u32 bits) {
-    if (bits >= m && bits < 64 && (blocks << (bits - m)) < best_load) {
+    if (bits == m && blocks < best_load) {
       best = p;
-      best_load = blocks << (bits - m);
+      best_load = blocks;
     }
     return false;
   });
   require(best_load != ~u64{0}, "contract_to_cube: no feasible decomposition");
 
   SmallVec<u64, 4> counts, pows;
-  u32 bits = 0;
   for (u32 i = 0; i < shape.dims(); ++i) {
     counts.push_back((shape[i] + (u64{1} << best[i]) - 1) >> best[i]);
     pows.push_back(u64{1} << best[i]);
-    bits += best[i];
   }
 
   EmbeddingPtr emb = gray_contraction(Shape{counts}, Shape{pows});
@@ -137,8 +137,7 @@ DegradedPlan build_contraction(const Shape& shape, u32 n, u64 mask = 0,
   // The contracted guest may exceed the requested shape: shrink to it.
   if (!(emb->guest().shape() == shape))
     emb = std::make_shared<SubmeshEmbedding>(std::move(emb), shape);
-  if (bits > m) plan += " folded to Q" + std::to_string(m);
-  if (bits > m || mask != 0)
+  if (mask != 0)
     emb = std::make_shared<SubcubeEmbedding>(std::move(emb), n, mask, value);
   return {std::move(emb), std::move(plan)};
 }

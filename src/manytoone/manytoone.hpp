@@ -90,8 +90,9 @@ struct ContractPlan {
 };
 
 /// Embed `shape` into Q_n (n may be far smaller than the mesh) with
-/// dilation <= 1, minimizing the load factor over all per-axis
-/// (c_i * 2^{n_i} >= l_i) decompositions followed by a cube fold.
+/// dilation <= 1, minimizing the load factor over the per-axis
+/// (c_i * 2^{n_i} >= l_i) decompositions with sum n_i == n (a larger sum
+/// followed by a cube fold never loads less, so none is folded).
 /// The paper's example: a 19x19 mesh into Q5 -> load 15, optimal 12.
 [[nodiscard]] ContractPlan contract_to_cube(const Shape& shape, u32 n);
 

@@ -1,5 +1,7 @@
 #include "store/precompute.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
@@ -11,10 +13,6 @@
 #include "obs/obs.hpp"
 #include "store/store.hpp"
 #include "store/writer.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace hj::store {
 namespace {
@@ -98,18 +96,9 @@ JournalScan scan_journal(const std::string& path,
 }
 
 void truncate_file(const std::string& path, u64 bytes) {
-#if defined(__unix__) || defined(__APPLE__)
   if (::truncate(path.c_str(), static_cast<off_t>(bytes)) != 0)
     throw std::runtime_error("plan store journal '" + path +
                              "': truncate failed");
-#else
-  std::ifstream is(path, std::ios::binary);
-  std::string keep(bytes, '\0');
-  is.read(keep.data(), static_cast<std::streamsize>(bytes));
-  is.close();
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(keep.data(), static_cast<std::streamsize>(bytes));
-#endif
 }
 
 /// Crash-injection hooks (see the header). Parsed once per precompute().

@@ -1,17 +1,13 @@
 #include "store/store.hpp"
 
-#include <cstring>
-#include <fstream>
-#include <stdexcept>
-#include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define HJ_STORE_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include <cstring>
+#include <stdexcept>
+#include <utility>
 
 namespace hj::store {
 namespace {
@@ -26,7 +22,6 @@ PlanStore PlanStore::open(const std::string& path) {
   PlanStore s;
   s.path_ = path;
 
-#ifdef HJ_STORE_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) open_fail(path, "cannot open file");
   struct stat st {};
@@ -44,14 +39,6 @@ PlanStore PlanStore::open(const std::string& path) {
   } else {
     ::close(fd);
   }
-#else
-  std::ifstream is(path, std::ios::binary);
-  if (!is.good()) open_fail(path, "cannot open file");
-  s.fallback_.assign(std::istreambuf_iterator<char>(is),
-                     std::istreambuf_iterator<char>());
-  s.data_ = s.fallback_.data();
-  s.size_ = s.fallback_.size();
-#endif
 
   // --- superblock ---
   if (s.size_ < kSuperBytes) open_fail(path, "file shorter than a superblock");
@@ -107,15 +94,11 @@ PlanStore::PlanStore(PlanStore&& o) noexcept { *this = std::move(o); }
 
 PlanStore& PlanStore::operator=(PlanStore&& o) noexcept {
   if (this == &o) return *this;
-#ifdef HJ_STORE_HAVE_MMAP
   if (map_) ::munmap(map_, size_);
-#endif
   path_ = std::move(o.path_);
   data_ = std::exchange(o.data_, nullptr);
   size_ = std::exchange(o.size_, 0);
   map_ = std::exchange(o.map_, nullptr);
-  fallback_ = std::move(o.fallback_);
-  if (!fallback_.empty()) data_ = fallback_.data();
   nrec_ = std::exchange(o.nrec_, 0);
   data_bytes_ = std::exchange(o.data_bytes_, 0);
   index_off_ = std::exchange(o.index_off_, 0);
@@ -126,9 +109,7 @@ PlanStore& PlanStore::operator=(PlanStore&& o) noexcept {
 }
 
 PlanStore::~PlanStore() {
-#ifdef HJ_STORE_HAVE_MMAP
   if (map_) ::munmap(map_, size_);
-#endif
 }
 
 const unsigned char* PlanStore::index_entry(u64 i) const noexcept {

@@ -1,10 +1,10 @@
 // hjembed plan store: the read side.
 //
-// PlanStore::open maps a store file read-only (mmap on POSIX, a buffered
-// read elsewhere) and validates the superblock and index checksums, the
-// region geometry and the index sort order before returning — a truncated
-// or superblock/index-corrupted file fails open() with a reason, it never
-// yields a store that could hand out garbage offsets.
+// PlanStore::open maps a store file read-only (mmap) and validates the
+// superblock and index checksums, the region geometry and the index sort
+// order before returning — a truncated or superblock/index-corrupted file
+// fails open() with a reason, it never yields a store that could hand out
+// garbage offsets.
 //
 // Record payloads are *lazily* validated: lookup() re-checksums the record
 // it lands on, and a mismatch (bit flip, torn write inside the data
@@ -21,7 +21,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "store/format.hpp"
 
@@ -83,8 +82,7 @@ class PlanStore {
   std::string path_;
   const unsigned char* data_ = nullptr;  // whole file
   u64 size_ = 0;
-  void* map_ = nullptr;  // munmap target when mmap'ed
-  std::vector<unsigned char> fallback_;  // owning buffer when not mmap'ed
+  void* map_ = nullptr;  // munmap target; null for an empty file
   u64 nrec_ = 0;
   u64 data_bytes_ = 0;
   u64 index_off_ = 0;

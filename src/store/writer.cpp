@@ -1,18 +1,14 @@
 #include "store/writer.hpp"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <fstream>
-#include <numeric>
-#include <stdexcept>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define HJ_STORE_HAVE_POSIX_IO 1
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <numeric>
+#include <stdexcept>
 
 namespace hj::store {
 
@@ -72,7 +68,6 @@ namespace {
                            std::strerror(errno));
 }
 
-#ifdef HJ_STORE_HAVE_POSIX_IO
 void write_all(int fd, const std::string& path, const char* p, u64 n) {
   while (n > 0) {
     const ssize_t w = ::write(fd, p, n);
@@ -97,12 +92,10 @@ void fsync_parent_dir(const std::string& path) {
     ::close(dfd);
   }
 }
-#endif
 
 }  // namespace
 
 void atomic_write_file(const std::string& path, const std::string& bytes) {
-#ifdef HJ_STORE_HAVE_POSIX_IO
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) io_fail(tmp, "cannot create temp file");
@@ -114,19 +107,9 @@ void atomic_write_file(const std::string& path, const std::string& bytes) {
   if (::close(fd) != 0) io_fail(tmp, "close failed");
   if (::rename(tmp.c_str(), path.c_str()) != 0) io_fail(path, "rename failed");
   fsync_parent_dir(path);
-#else
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os.good())
-    throw std::runtime_error("plan store '" + path + "': cannot open");
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  os.flush();
-  if (!os.good())
-    throw std::runtime_error("plan store '" + path + "': write failed");
-#endif
 }
 
 void append_file_sync(const std::string& path, const std::string& bytes) {
-#ifdef HJ_STORE_HAVE_POSIX_IO
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) io_fail(path, "cannot open for append");
   write_all(fd, path, bytes.data(), bytes.size());
@@ -135,15 +118,6 @@ void append_file_sync(const std::string& path, const std::string& bytes) {
     io_fail(path, "fsync failed");
   }
   if (::close(fd) != 0) io_fail(path, "close failed");
-#else
-  std::ofstream os(path, std::ios::binary | std::ios::app);
-  if (!os.good())
-    throw std::runtime_error("plan store '" + path + "': cannot open");
-  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  os.flush();
-  if (!os.good())
-    throw std::runtime_error("plan store '" + path + "': append failed");
-#endif
 }
 
 }  // namespace hj::store

@@ -387,10 +387,4 @@ PlanResult TorusPlanner::plan(const Mesh& guest) {
   return out;
 }
 
-bool TorusPlanner::achieves_minimal(const Shape& shape, u32 max_dil) {
-  PlanResult r = plan(shape);
-  return r.report.minimal_expansion && r.report.dilation <= max_dil &&
-         r.report.valid;
-}
-
 }  // namespace hj::torus

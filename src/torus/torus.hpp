@@ -110,8 +110,6 @@ class TorusPlanner {
   /// Plan with explicit per-axis wrap flags.
   [[nodiscard]] PlanResult plan(const Mesh& guest);
 
-  [[nodiscard]] bool achieves_minimal(const Shape& shape, u32 max_dil);
-
  private:
   DirectProvider provider_;
   Planner mesh_planner_;

@@ -211,19 +211,6 @@ TEST(TorusProperty, RandomToriAlwaysValid) {
   }
 }
 
-TEST(InversePlacement, RoundTrips) {
-  Planner planner;
-  PlanResult r = planner.plan(Shape{7, 9});
-  const std::vector<i64> inv = inverse_placement(*r.embedding);
-  u64 used = 0;
-  for (u64 v = 0; v < inv.size(); ++v) {
-    if (inv[v] < 0) continue;
-    ++used;
-    EXPECT_EQ(r.embedding->map(static_cast<MeshIndex>(inv[v])), v);
-  }
-  EXPECT_EQ(used, r.embedding->guest().num_nodes());
-}
-
 TEST(FaultScheduleFuzz, MalformedInputsAreRejectedWithContext) {
   // Every malformed line must throw (never crash or silently skip), and
   // the message must carry the offending line number for the CLI user.

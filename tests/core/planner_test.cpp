@@ -147,7 +147,8 @@ TEST(Planner, SearchProviderUnlocks5x5x5) {
   // and neither does the planner without a searcher. Backtracking finds a
   // dilation-2 witness in Q7 (resolving the paper's open question).
   Planner without = make_planner(false);
-  EXPECT_FALSE(without.achieves_minimal_dil2(Shape{5, 5, 5}));
+  const VerifyReport w = without.plan(Shape{5, 5, 5}).report;
+  EXPECT_FALSE(w.minimal_expansion && w.dilation <= 2);
   Planner with = make_planner(true);
   PlanResult r = with.plan(Shape{5, 5, 5});
   EXPECT_TRUE(r.report.valid);

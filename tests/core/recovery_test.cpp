@@ -279,13 +279,13 @@ TEST(Recovery, OneSpanPerRungAttempt) {
 #endif
 }
 
-// --- Satellite: fault-aware plan_batch and cache purity ---------------------
+// --- Cache purity: faulted and fault-free plans share one cache -----------
 
-TEST(PlanBatchFaults, FaultedAndFaultFreeShareOneBatchSafely) {
-  // The same shape planned with and without faults in one batch, both
-  // orders. The faulted plans must certify against their fault sets, the
-  // fault-free plans must be byte-identical to an isolated plan() (i.e.
-  // the shared cache was never polluted by a faulted result).
+TEST(RecoveryPlanAvoiding, FaultedAndFaultFreePlansShareOneCache) {
+  // The same shape planned with and without faults through one shared
+  // cache, both orders. The faulted plan must certify against its fault
+  // set, the fault-free plan must be byte-identical to an isolated plan()
+  // (i.e. plan_avoiding never wrote a faulted result into the cache).
   const Shape shape{3, 3, 7};
   const std::string clean_text = io::to_text(*plan_shape(shape).embedding);
 
@@ -294,23 +294,25 @@ TEST(PlanBatchFaults, FaultedAndFaultFreeShareOneBatchSafely) {
 
   for (const bool faulted_first : {true, false}) {
     ShardedPlanCache cache;
-    const std::vector<Shape> shapes{shape, shape};
-    const std::vector<const FaultSet*> fsets =
-        faulted_first ? std::vector<const FaultSet*>{&faults, nullptr}
-                      : std::vector<const FaultSet*>{nullptr, &faults};
-    const std::vector<PlanResult> plans = plan_batch(
-        shapes, fsets, {}, [] { return search::make_search_provider(); },
-        &cache);
-    const std::size_t fi = faulted_first ? 0 : 1;
-    const std::size_t ci = 1 - fi;
+    Planner planner;
+    planner.set_shared_cache(&cache);
+    planner.set_direct_provider(search::make_search_provider());
+    PlanResult faulted, clean;
+    if (faulted_first) {
+      faulted = planner.plan_avoiding(shape, faults);
+      clean = planner.plan(shape);
+    } else {
+      clean = planner.plan(shape);
+      faulted = planner.plan_avoiding(shape, faults);
+    }
 
-    EXPECT_TRUE(plans[fi].report.valid);
-    EXPECT_TRUE(plans[fi].report.fault_free);
-    EXPECT_TRUE(verify(*plans[fi].embedding, faults).fault_free);
+    EXPECT_TRUE(faulted.report.valid);
+    EXPECT_TRUE(faulted.report.fault_free);
+    EXPECT_TRUE(verify(*faulted.embedding, faults).fault_free);
 
-    EXPECT_TRUE(plans[ci].report.valid);
-    EXPECT_EQ(io::to_text(*plans[ci].embedding), clean_text)
-        << "fault-free plan differs after sharing a batch with a faulted "
+    EXPECT_TRUE(clean.report.valid);
+    EXPECT_EQ(io::to_text(*clean.embedding), clean_text)
+        << "fault-free plan differs after sharing a cache with a faulted "
            "plan: the cache was polluted";
 
     // Planning the shape again from the same (warm) cache must still
@@ -321,17 +323,12 @@ TEST(PlanBatchFaults, FaultedAndFaultFreeShareOneBatchSafely) {
   }
 }
 
-TEST(PlanBatchFaults, SizesMustMatch) {
-  EXPECT_THROW(
-      (void)plan_batch({Shape{2, 2}}, std::vector<const FaultSet*>{}),
-      std::invalid_argument);
-}
-
-TEST(PlanBatchFaults, UnavoidableFaultsThrowAfterTheBatch) {
+TEST(RecoveryPlanAvoiding, AllDeadCubeThrows) {
+  // Every address of Q2 dead and no degrade provider: no rung certifies.
   FaultSet all_dead;
   for (CubeNode v = 0; v < 4; ++v) all_dead.fail_node(v);
-  EXPECT_THROW((void)plan_batch({Shape{2, 2}},
-                                std::vector<const FaultSet*>{&all_dead}),
+  Planner planner;
+  EXPECT_THROW((void)planner.plan_avoiding(Shape{2, 2}, all_dead),
                std::invalid_argument);
 }
 

@@ -8,8 +8,8 @@
 # and 11x21), and chains whose outermost leaf is a congestion-3 search
 # map or a relabelled table, whole and under partial boxes (5x5x10,
 # 5x5x19, 9x5x10, 9x10x10). It then prints the many-to-one certificate
-# (`hj_embed contract`: Corollary 5's contraction, folded where the cube
-# is smaller than the contracted mesh) for a few (cube, shape) pairs.
+# (`hj_embed contract`: Corollary 5's contraction, whose Gray factor
+# fills the cube exactly) for a few (cube, shape) pairs.
 # Every line is deterministic, so the output is a golden of the plan
 # strings and of every verify() report field printed.
 #
